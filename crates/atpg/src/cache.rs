@@ -123,6 +123,15 @@ pub(crate) enum RawSearch {
     Aborted,
 }
 
+/// A memoized per-fault outcome and whether a replay has consumed it.
+#[derive(Debug)]
+struct Entry {
+    generated: CachedGen,
+    /// Set by the first [`CubeCache::consume`]; a speculative batch search
+    /// whose target an earlier unit dropped stays unconsumed.
+    consumed: bool,
+}
+
 /// A cache of per-fault deterministic search results, intended to be
 /// carried across many [`TestGenerator`](crate::TestGenerator) runs on
 /// the **same circuit** (a sweep of the mixed scheme's prefix ladder, a
@@ -130,14 +139,14 @@ pub(crate) enum RawSearch {
 /// bit-identical to fresh searches — memoization of a pure function — so
 /// cached and cold flows produce the same sequences.
 ///
-/// Besides the per-fault outcome map it memoizes *raw searches* (see
-/// [`RawSearch`]): seed-independent cube-level results keyed by the
-/// search target rather than the fault consuming it, so faults whose
-/// deterministic targets coincide pay for one search between them.
+/// Besides the per-fault outcome map it memoizes *raw searches*:
+/// seed-independent cube-level results keyed by the search target rather
+/// than the fault consuming it, so faults whose deterministic targets
+/// coincide pay for one search between them.
 #[derive(Debug, Default)]
 pub struct CubeCache {
     #[allow(clippy::disallowed_types)]
-    map: HashMap<CacheKey, CachedGen>,
+    map: HashMap<CacheKey, Entry>,
     /// Raw detect searches keyed by `(target, backtrack_limit)`.
     // determinism-vetted: keyed lookup only, never iterated
     #[allow(clippy::disallowed_types)]
@@ -167,32 +176,45 @@ impl CubeCache {
         self.map.is_empty()
     }
 
-    /// Searches answered from memory across the cache's lifetime (only
-    /// targets whose result was actually consumed are counted — wasted
-    /// speculative lookups are not).
+    /// Replayed targets whose outcome an earlier replay had already
+    /// consumed, across the cache's lifetime. Speculative batch searches
+    /// do not count until a replay consumes them, so the count is a
+    /// property of the serial replay order and equal at every pool width.
     pub fn hits(&self) -> usize {
         self.hits
     }
 
-    /// Searches that had to run cold.
+    /// Replayed targets consumed for the first time: the searches a
+    /// one-thread run performs cold.
     pub fn misses(&self) -> usize {
         self.misses
     }
 
-    pub(crate) fn get(&self, fault: Fault, options: PodemOptions) -> Option<&CachedGen> {
-        self.map.get(&CacheKey::new(fault, options))
+    pub(crate) fn contains(&self, fault: Fault, options: PodemOptions) -> bool {
+        self.map.contains_key(&CacheKey::new(fault, options))
     }
 
     pub(crate) fn insert(&mut self, fault: Fault, options: PodemOptions, generated: CachedGen) {
-        self.map.insert(CacheKey::new(fault, options), generated);
+        self.map.insert(
+            CacheKey::new(fault, options),
+            Entry {
+                generated,
+                consumed: false,
+            },
+        );
     }
 
-    pub(crate) fn count_hit(&mut self) {
-        self.hits += 1;
-    }
-
-    pub(crate) fn count_miss(&mut self) {
-        self.misses += 1;
+    /// The outcome the serial replay applies for `fault`, counted as a
+    /// hit when an earlier replay consumed it and as a miss otherwise.
+    pub(crate) fn consume(&mut self, fault: Fault, options: PodemOptions) -> Option<&CachedGen> {
+        let entry = self.map.get_mut(&CacheKey::new(fault, options))?;
+        if entry.consumed {
+            self.hits += 1;
+        } else {
+            entry.consumed = true;
+            self.misses += 1;
+        }
+        Some(&entry.generated)
     }
 
     pub(crate) fn raw_detect(
@@ -263,18 +285,23 @@ mod tests {
             site: NodeId::from_index(7),
         };
         let opts = PodemOptions::default();
-        assert!(cache.get(fault, opts).is_none());
+        assert!(!cache.contains(fault, opts));
         cache.insert(fault, opts, CachedGen::Redundant { calls: 1 });
-        assert_eq!(
-            cache.get(fault, opts),
-            Some(&CachedGen::Redundant { calls: 1 })
-        );
+        assert!(cache.contains(fault, opts));
+        // the first consumption is the cold search, later ones are hits
+        for _ in 0..2 {
+            assert_eq!(
+                cache.consume(fault, opts),
+                Some(&CachedGen::Redundant { calls: 1 })
+            );
+        }
+        assert_eq!((cache.misses(), cache.hits()), (1, 1));
         // a different backtrack budget is a different search
         let tighter = PodemOptions {
             backtrack_limit: 5,
             ..opts
         };
-        assert!(cache.get(fault, tighter).is_none());
+        assert!(!cache.contains(fault, tighter));
         assert_eq!(cache.len(), 1);
     }
 }

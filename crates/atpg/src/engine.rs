@@ -151,7 +151,7 @@ impl<'c> TestGenerator<'c> {
             let misses: Vec<(usize, Fault)> = batch
                 .iter()
                 .map(|&fi| (fi, *faults.get(fi).expect("index in range")))
-                .filter(|(_, fault)| cache.get(*fault, target_options(options, fault)).is_none())
+                .filter(|(_, fault)| !cache.contains(*fault, target_options(options, fault)))
                 .collect();
 
             // phase 1: the detect search every miss starts with (for a
@@ -210,7 +210,6 @@ impl<'c> TestGenerator<'c> {
             }
 
             // assemble each miss's per-fault outcome from the raw results
-            let freshly_searched: Vec<usize> = misses.iter().map(|&(fi, _)| fi).collect();
             for (_, fault) in misses {
                 let generated = assemble(circuit, cache, options, &fault);
                 cache.insert(fault, target_options(options, &fault), generated);
@@ -224,14 +223,9 @@ impl<'c> TestGenerator<'c> {
                 }
                 let fault = *faults.get(fi).expect("index in range");
                 let generated = cache
-                    .get(fault, target_options(options, &fault))
+                    .consume(fault, target_options(options, &fault))
                     .expect("batch member resolved above")
                     .clone();
-                if freshly_searched.contains(&fi) {
-                    cache.count_miss();
-                } else {
-                    cache.count_hit();
-                }
                 match generated {
                     CachedGen::Unit {
                         patterns,

@@ -200,13 +200,25 @@ enum Objective {
     Stuck,
 }
 
+/// One PODEM decision: a primary input assignment.
+struct Decision {
+    /// Input position.
+    pi: usize,
+    /// The value currently assigned.
+    value: bool,
+    /// True once the alternative value has been tried.
+    flipped: bool,
+    /// The simulator's undo-trail mark taken before the assignment.
+    mark: usize,
+}
+
 struct Search<'c> {
     circuit: &'c Circuit,
     sim: FiveValueSim<'c>,
     goal: Goal,
     options: PodemOptions,
-    /// Decision stack: (input position, chosen value, alternative tried?).
-    stack: Vec<(usize, bool, bool)>,
+    /// Decision stack, oldest decision first.
+    stack: Vec<Decision>,
     backtracks: u32,
     /// Minimum distance (in gates) from each node to any primary output —
     /// the D-frontier selection heuristic.
@@ -323,8 +335,7 @@ impl<'c> Search<'c> {
     }
 
     /// True if some frontier gate still has an X-path (through the cone)
-    /// to a primary output. Cone-restricted version of
-    /// [`FiveValueSim::x_path_to_output_exists`].
+    /// to a primary output.
     fn x_path_exists(&mut self, frontier: &[NodeId]) -> bool {
         for &id in &self.cone {
             self.reach[id.index()] = false;
@@ -354,8 +365,15 @@ impl<'c> Search<'c> {
         })
     }
 
-    fn assign(&mut self, pi: usize, value: Option<bool>) {
-        self.sim.set_input(pi, value);
+    /// Pushes the decision `pi = value` and implies it.
+    fn decide(&mut self, pi: usize, value: bool, flipped: bool) {
+        self.stack.push(Decision {
+            pi,
+            value,
+            flipped,
+            mark: self.sim.trail_mark(),
+        });
+        self.sim.set_input(pi, Some(value));
         self.sim.imply_from_input(pi);
     }
 
@@ -370,10 +388,7 @@ impl<'c> Search<'c> {
                     return CubeOutcome::Test { pattern, cube };
                 }
                 Objective::Drive(node, value) => match self.backtrace(node, value) {
-                    Some((pi, v)) => {
-                        self.stack.push((pi, v, false));
-                        self.assign(pi, Some(v));
-                    }
+                    Some((pi, v)) => self.decide(pi, v, false),
                     None => {
                         if let Some(outcome) = self.backtrack() {
                             return outcome;
@@ -391,17 +406,22 @@ impl<'c> Search<'c> {
 
     /// Reverts decisions until an untried alternative exists. Returns
     /// `Some(outcome)` when the search ends.
+    ///
+    /// The popped inputs go back to `X` and one [`FiveValueSim::undo_to`]
+    /// restores every node value to the flipped decision's pre-assignment
+    /// state, so only the flipped value is implied. Node values are a pure
+    /// function of the input assignment, so this reaches exactly the state
+    /// re-implying each popped input would.
     fn backtrack(&mut self) -> Option<CubeOutcome> {
         self.backtracks += 1;
         if self.backtracks > self.options.backtrack_limit {
             return Some(CubeOutcome::Aborted);
         }
-        while let Some((pi, v, tried_both)) = self.stack.pop() {
-            if tried_both {
-                self.assign(pi, None);
-            } else {
-                self.stack.push((pi, !v, true));
-                self.assign(pi, Some(!v));
+        while let Some(decision) = self.stack.pop() {
+            self.sim.set_input(decision.pi, None);
+            if !decision.flipped {
+                self.sim.undo_to(decision.mark);
+                self.decide(decision.pi, !decision.value, true);
                 return None;
             }
         }
@@ -507,27 +527,25 @@ impl<'c> Search<'c> {
 
     /// Walks an objective back to an unassigned primary input through
     /// X-valued nodes, tracking inversion parity.
-    fn backtrace(&self, mut node: NodeId, mut value: bool) -> Option<(usize, bool)> {
+    fn backtrace(&self, node: NodeId, mut value: bool) -> Option<(usize, bool)> {
+        let g = self.circuit.sim_graph();
+        let mut node = node.index();
         loop {
-            let n = self.circuit.node(node);
-            match n.kind() {
+            match g.kind(node) {
                 GateKind::Input => {
-                    let pos = self
-                        .circuit
-                        .inputs()
-                        .iter()
-                        .position(|&pi| pi == node)
-                        .expect("registered input");
+                    let pos = g.input_pos(node).expect("registered input");
                     return Some((pos, value));
                 }
                 GateKind::Dff | GateKind::Const0 | GateKind::Const1 => return None,
                 kind => {
                     value ^= kind.is_inverting();
-                    let next = n
-                        .fanin()
-                        .iter()
-                        .find(|f| self.sim.value(**f).good().is_none())?;
-                    node = *next;
+                    let next = g.fanin(node).iter().find(|&&f| {
+                        self.sim
+                            .value(NodeId::from_index(f as usize))
+                            .good()
+                            .is_none()
+                    })?;
+                    node = *next as usize;
                 }
             }
         }

@@ -8,7 +8,9 @@
 //!
 //! Runs one `JobSpec::Sweep` per circuit through the engine and prints
 //! one line per solved point — circuit, `p`, `d`, the coverage counters
-//! and an FNV-1a hash of every deterministic pattern bit — plus a final
+//! and an FNV-1a hash of every deterministic pattern bit — then one line
+//! of the sweep's `SessionStats` counters (they are stored in cached
+//! results, so they must be width-invariant too), plus a final
 //! `total <hash>` line folding the whole sweep. Two runs agree on their
 //! digests iff they solved bit-identical sweeps, whatever their pool
 //! widths; CI runs this binary under several `BIST_THREADS` values and
@@ -90,6 +92,22 @@ fn digest_sweep(args: &ExperimentArgs, prefixes: &[usize], threads: usize) -> St
             }
             out.push_str(&line);
         }
+        let st = sweep.stats;
+        let line = format!(
+            "{} stats simulated={} resimulated={} atpg_runs={} atpg_cache_hits={} podem_cache_hits={} snapshots_taken={} snapshots_skipped={}\n",
+            sweep.circuit,
+            st.patterns_simulated,
+            st.patterns_resimulated,
+            st.atpg_runs,
+            st.atpg_cache_hits,
+            st.podem_cache_hits,
+            st.snapshots_taken,
+            st.snapshots_skipped
+        );
+        for b in line.bytes() {
+            total.push(b);
+        }
+        out.push_str(&line);
     }
     out.push_str(&format!("total {:016x}\n", total.finish()));
     out

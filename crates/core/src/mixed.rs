@@ -1,10 +1,11 @@
 use std::fmt;
+use std::sync::OnceLock;
 
 use bist_lfsr::{Lfsr, Polynomial, ScanExpander};
 use bist_lfsrom::{LfsromGenerator, SynthesizeLfsromError};
 use bist_logicsim::{Pattern, SeqSim};
 use bist_netlist::{Circuit, CircuitBuilder, GateKind, NodeId};
-use bist_synth::{count_cells, AreaModel, CellCount};
+use bist_synth::{count_cells, AreaModel, CellCount, TwoLevelNetwork};
 
 /// Error returned by [`MixedGenerator::build`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,9 +96,13 @@ pub enum HandoverDecode {
 /// Per-bit multiplexers select the feedback source; a decoder plus a mode
 /// latch performs the switch.
 ///
-/// Every built generator carries its structural netlist;
+/// Every built generator has a structural netlist;
 /// [`MixedGenerator::verify`] replays it cycle-accurately and checks both
-/// phases bit-exactly.
+/// phases bit-exactly. A generator keeps only what defines it (the two
+/// phases' parameters, the LFSROM network and the cell count taken at
+/// build): the netlist is rebuilt on first use by [`MixedGenerator::netlist`]
+/// and the pseudo-random patterns are re-derived by
+/// [`MixedGenerator::expected_random`], so a held solution stays small.
 ///
 /// # Example
 ///
@@ -117,11 +122,16 @@ pub struct MixedGenerator {
     poly: Polynomial,
     prefix_len: usize,
     deterministic: Vec<Pattern>,
-    expected_random: Vec<Pattern>,
     codes: Vec<u64>,
     code_bits: usize,
     decode: HandoverDecode,
-    netlist: Circuit,
+    /// The LFSROM next-state network (`None` without a deterministic
+    /// phase).
+    network: Option<TwoLevelNetwork>,
+    /// The netlist's cell inventory, counted once at build.
+    cells: CellCount,
+    /// The structural netlist, built on first use.
+    netlist: OnceLock<Circuit>,
 }
 
 impl MixedGenerator {
@@ -158,7 +168,9 @@ impl MixedGenerator {
 
         // software model of the pseudo-random phase
         let mut expander = ScanExpander::new(Lfsr::fibonacci(poly, 1), width);
-        let expected_random = expander.patterns(prefix_len);
+        for _ in 0..prefix_len {
+            expander.next_pattern();
+        }
         let handover_state = expander.lfsr_state();
         let bridge = expander.chain();
 
@@ -173,9 +185,13 @@ impl MixedGenerator {
             seq.extend(deterministic.iter().cloned());
             Some(LfsromGenerator::synthesize(&seq)?)
         };
-        let (codes, code_bits) = match &lfsrom {
-            Some(g) => (g.codes().to_vec(), g.extra_flip_flops()),
-            None => (Vec::new(), 0),
+        let (codes, code_bits, network) = match lfsrom {
+            Some(g) => (
+                g.codes().to_vec(),
+                g.extra_flip_flops(),
+                Some(g.network().clone()),
+            ),
+            None => (Vec::new(), 0, None),
         };
 
         let decode = if prefix_len == 0 || deterministic.is_empty() {
@@ -195,25 +211,26 @@ impl MixedGenerator {
             }
         };
 
-        let netlist = build_netlist(
+        let cells = count_cells(&build_netlist(
             width,
             poly,
             prefix_len,
-            lfsrom.as_ref().map(LfsromGenerator::network),
+            network.as_ref(),
             code_bits,
             decode,
-        );
+        ));
 
         Ok(MixedGenerator {
             width,
             poly,
             prefix_len,
             deterministic: deterministic.to_vec(),
-            expected_random,
             codes,
             code_bits,
             decode,
-            netlist,
+            network,
+            cells,
+            netlist: OnceLock::new(),
         })
     }
 
@@ -242,9 +259,10 @@ impl MixedGenerator {
         self.prefix_len + self.deterministic.len()
     }
 
-    /// The pseudo-random patterns the hardware will emit (software model).
-    pub fn expected_random(&self) -> &[Pattern] {
-        &self.expected_random
+    /// The pseudo-random patterns the hardware will emit (software model),
+    /// derived afresh from the LFSR on every call.
+    pub fn expected_random(&self) -> Vec<Pattern> {
+        ScanExpander::new(Lfsr::fibonacci(self.poly, 1), self.width).patterns(self.prefix_len)
     }
 
     /// How the hand-over is decoded.
@@ -264,19 +282,28 @@ impl MixedGenerator {
         &self.codes
     }
 
-    /// The structural netlist of the generator.
+    /// The structural netlist of the generator, built on the first call.
     pub fn netlist(&self) -> &Circuit {
-        &self.netlist
+        self.netlist.get_or_init(|| {
+            build_netlist(
+                self.width,
+                self.poly,
+                self.prefix_len,
+                self.network.as_ref(),
+                self.code_bits,
+                self.decode,
+            )
+        })
     }
 
     /// The generator's standard-cell inventory.
     pub fn cells(&self) -> CellCount {
-        count_cells(&self.netlist)
+        self.cells.clone()
     }
 
     /// Silicon area in mm² under `model`.
     pub fn area_mm2(&self, model: &AreaModel) -> f64 {
-        model.area_mm2(&self.cells())
+        model.area_mm2(&self.cells)
     }
 
     /// The register reset state that makes the netlist emit the verified
@@ -290,19 +317,19 @@ impl MixedGenerator {
     /// synthesized module and the software model agree cycle for cycle.
     pub fn reset_states(&self) -> Vec<(NodeId, bool)> {
         let mut values = Vec::new();
+        let netlist = self.netlist();
         if self.prefix_len > 0 {
-            let q0 = self.netlist.find("q0").expect("q0 exists");
+            let q0 = netlist.find("q0").expect("q0 exists");
             values.push((q0, true));
         } else if let Some(first) = self.deterministic.first() {
             for b in 0..self.width {
-                let q = self
-                    .netlist
+                let q = netlist
                     .find(&format!("q{}", self.width - 1 - b))
                     .expect("pattern flip-flop exists");
                 values.push((q, first.get(b)));
             }
             for cb in 0..self.code_bits {
-                let c = self.netlist.find(&format!("c{cb}")).expect("code FF");
+                let c = netlist.find(&format!("c{cb}")).expect("code FF");
                 values.push((c, (self.codes[0] >> cb) & 1 == 1));
             }
         }
@@ -312,10 +339,11 @@ impl MixedGenerator {
     /// Clocks the netlist through both phases; returns the emitted
     /// (pseudo-random, deterministic) pattern sequences.
     pub fn replay(&self) -> (Vec<Pattern>, Vec<Pattern>) {
-        let mut sim = SeqSim::new(&self.netlist);
+        let netlist = self.netlist();
+        let mut sim = SeqSim::new(netlist);
         let pattern_ffs: Vec<NodeId> = (0..self.width)
             .map(|b| {
-                self.netlist
+                netlist
                     .find(&format!("q{}", self.width - 1 - b))
                     .expect("pattern flip-flop exists")
             })
@@ -353,7 +381,7 @@ impl MixedGenerator {
     /// software model / target sequence.
     pub fn verify(&self) -> bool {
         let (random, det) = self.replay();
-        random == self.expected_random && det == self.deterministic
+        random == self.expected_random() && det == self.deterministic
     }
 }
 
@@ -371,11 +399,9 @@ impl bist_tpg::Tpg for MixedGenerator {
     }
 
     fn sequence(&self) -> Vec<Pattern> {
-        self.expected_random
-            .iter()
-            .chain(&self.deterministic)
-            .cloned()
-            .collect()
+        let mut sequence = self.expected_random();
+        sequence.extend(self.deterministic.iter().cloned());
+        sequence
     }
 
     fn cells(&self) -> CellCount {
@@ -383,7 +409,7 @@ impl bist_tpg::Tpg for MixedGenerator {
     }
 
     fn netlist(&self) -> Option<&Circuit> {
-        Some(&self.netlist)
+        Some(MixedGenerator::netlist(self))
     }
 
     fn replay_netlist(&self) -> Option<Vec<Pattern>> {
@@ -397,7 +423,7 @@ fn build_netlist(
     width: usize,
     poly: Polynomial,
     prefix_len: usize,
-    network: Option<&bist_synth::TwoLevelNetwork>,
+    network: Option<&TwoLevelNetwork>,
     code_bits: usize,
     decode: HandoverDecode,
 ) -> Circuit {

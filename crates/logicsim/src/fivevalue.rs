@@ -10,6 +10,10 @@ use bist_netlist::{Circuit, GateKind, LevelQueue, NodeId, SimGraph};
 /// * `Dbar` — good 0, faulty 1,
 /// * `X` — at least one machine unknown.
 ///
+/// Each discriminant is the value's 4-bit *dual-rail code* (good and
+/// faulty machine side by side, see `DESIGN.md`): the implication engine
+/// folds gates over these codes directly.
+///
 /// # Example
 ///
 /// ```
@@ -21,17 +25,18 @@ use bist_netlist::{Circuit, GateKind, LevelQueue, NodeId, SimGraph};
 /// assert!(V5::X.is_unknown());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
 pub enum V5 {
     /// Both machines 0.
-    Zero,
+    Zero = rail::ZERO,
     /// Both machines 1.
-    One,
+    One = rail::ONE,
     /// Unknown in at least one machine.
-    X,
+    X = rail::X,
     /// Good 1, faulty 0.
-    D,
+    D = rail::D,
     /// Good 0, faulty 1.
-    Dbar,
+    Dbar = rail::DBAR,
 }
 
 impl V5 {
@@ -89,69 +94,155 @@ impl fmt::Display for V5 {
     }
 }
 
-fn eval3(kind: GateKind, inputs: impl Iterator<Item = Option<bool>> + Clone) -> Option<bool> {
-    match kind {
-        GateKind::Const0 => Some(false),
-        GateKind::Const1 => Some(true),
-        GateKind::Buf => inputs.clone().next().flatten(),
-        GateKind::Not => inputs.clone().next().flatten().map(|v| !v),
-        GateKind::And | GateKind::Nand => {
-            let mut any_unknown = false;
-            let mut out = true;
-            for v in inputs {
-                match v {
-                    Some(false) => {
-                        out = false;
-                        any_unknown = false;
-                        break;
-                    }
-                    Some(true) => {}
-                    None => any_unknown = true,
+/// Dual-rail five-valued gate evaluation.
+///
+/// A code holds two 2-bit *rails*, good machine in bits 0–1 and faulty
+/// machine in bits 2–3. In each rail the low bit means "can be 0" and the
+/// high bit "can be 1", so a rail reads `01` for 0, `10` for 1 and `11`
+/// for unknown (`00` never occurs):
+///
+/// | value | faulty rail | good rail | code |
+/// |---|---|---|---|
+/// | `Zero` | `01` | `01` | `0b0101` |
+/// | `One`  | `10` | `10` | `0b1010` |
+/// | `D`    | `01` | `10` | `0b0110` |
+/// | `Dbar` | `10` | `01` | `0b1001` |
+/// | `X`    | `11` | `11` | `0b1111` |
+///
+/// An AND output can be 1 only if every input can be 1, and can be 0 if
+/// any input can be 0, so one bitwise AND and one bitwise OR over the
+/// fan-in codes evaluate both machines of an AND/OR gate at once; XOR
+/// folds the can-be-1 bits by parity. Intermediate codes may hold a known
+/// rail next to an unknown one; `collapse` maps those
+/// to `X`, exactly as [`V5::from_pair`] does.
+mod rail {
+    /// Code of `V5::Zero`.
+    pub const ZERO: u8 = 0b0101;
+    /// Code of `V5::One`.
+    pub const ONE: u8 = 0b1010;
+    /// Code of `V5::D`.
+    pub const D: u8 = 0b0110;
+    /// Code of `V5::Dbar`.
+    pub const DBAR: u8 = 0b1001;
+    /// Code of `V5::X`.
+    pub const X: u8 = 0b1111;
+    /// The "can be 0" bit of both rails.
+    const CAN0: u8 = 0b0101;
+    /// The "can be 1" bit of both rails.
+    const CAN1: u8 = 0b1010;
+
+    use super::V5;
+    use bist_netlist::GateKind;
+
+    /// The code of a primary input assignment (same value in both
+    /// machines).
+    #[inline]
+    pub fn input(value: Option<bool>) -> u8 {
+        match value {
+            Some(false) => ZERO,
+            Some(true) => ONE,
+            None => X,
+        }
+    }
+
+    /// Inverts both rails (swaps each rail's two bits).
+    #[inline]
+    fn invert(code: u8) -> u8 {
+        ((code & CAN0) << 1) | ((code & CAN1) >> 1)
+    }
+
+    /// Replaces the faulty rail with the constant `stuck`.
+    #[inline]
+    fn force_faulty(code: u8, stuck: bool) -> u8 {
+        (code & 0b0011) | if stuck { 0b1000 } else { 0b0100 }
+    }
+
+    /// Folds one combinational gate over its fan-in codes.
+    #[inline]
+    fn gate(kind: GateKind, mut fanin: impl Iterator<Item = u8>) -> u8 {
+        match kind {
+            GateKind::Const0 => ZERO,
+            GateKind::Const1 => ONE,
+            GateKind::Buf => fanin.next().unwrap_or(X),
+            GateKind::Not => invert(fanin.next().unwrap_or(X)),
+            GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor => {
+                let (mut all, mut any) = (X, 0);
+                for c in fanin {
+                    all &= c;
+                    any |= c;
+                }
+                let out = if matches!(kind, GateKind::And | GateKind::Nand) {
+                    (all & CAN1) | (any & CAN0)
+                } else {
+                    (all & CAN0) | (any & CAN1)
+                };
+                if matches!(kind, GateKind::Nand | GateKind::Nor) {
+                    invert(out)
+                } else {
+                    out
                 }
             }
-            let core = if any_unknown { None } else { Some(out) };
-            if kind == GateKind::Nand {
-                core.map(|v| !v)
-            } else {
-                core
-            }
-        }
-        GateKind::Or | GateKind::Nor => {
-            let mut any_unknown = false;
-            let mut out = false;
-            for v in inputs {
-                match v {
-                    Some(true) => {
-                        out = true;
-                        any_unknown = false;
-                        break;
-                    }
-                    Some(false) => {}
-                    None => any_unknown = true,
+            GateKind::Xor | GateKind::Xnor => {
+                let (mut parity, mut unknown) = (0, 0);
+                for c in fanin {
+                    parity ^= c >> 1;
+                    unknown |= c & (c >> 1);
+                }
+                let (parity, unknown) = (parity & CAN0, unknown & CAN0);
+                let out = (parity << 1) | (parity ^ CAN0) | unknown | (unknown << 1);
+                if kind == GateKind::Xnor {
+                    invert(out)
+                } else {
+                    out
                 }
             }
-            let core = if any_unknown { None } else { Some(out) };
-            if kind == GateKind::Nor {
-                core.map(|v| !v)
-            } else {
-                core
-            }
+            GateKind::Input | GateKind::Dff => unreachable!("sources are not evaluated"),
         }
-        GateKind::Xor | GateKind::Xnor => {
-            let mut parity = false;
-            for v in inputs {
-                match v {
-                    Some(b) => parity ^= b,
-                    None => return None,
-                }
-            }
-            Some(if kind == GateKind::Xnor {
-                !parity
-            } else {
-                parity
-            })
+    }
+
+    /// Folds one gate whose fan-in pin `pin.0` is stuck at `pin.1` in the
+    /// faulty machine (`None`: no pin fault at this gate).
+    #[inline]
+    pub fn pin_faulted_gate(
+        kind: GateKind,
+        fanin: impl Iterator<Item = u8>,
+        pin: Option<(usize, bool)>,
+    ) -> u8 {
+        match pin {
+            Some((p, stuck)) => gate(
+                kind,
+                fanin
+                    .enumerate()
+                    .map(|(k, c)| if k == p { force_faulty(c, stuck) } else { c }),
+            ),
+            None => gate(kind, fanin),
         }
-        GateKind::Input | GateKind::Dff => unreachable!("sources are not evaluated"),
+    }
+
+    /// The node value of `code` under an optional output-stem fault stuck
+    /// at `stem`, which overrides the faulty rail. The override applies to
+    /// the collapsed value: a gate with either machine unknown stays `X`
+    /// even when the fault pins its faulty output.
+    #[inline]
+    pub fn finish(code: u8, stem: Option<bool>) -> V5 {
+        let v = collapse(code);
+        match stem {
+            Some(stuck) if v != V5::X => collapse(force_faulty(v as u8, stuck)),
+            _ => v,
+        }
+    }
+
+    /// Maps a code to its five-valued meaning: an unknown rail makes the
+    /// whole value `X`.
+    #[inline]
+    fn collapse(code: u8) -> V5 {
+        match code {
+            ZERO => V5::Zero,
+            ONE => V5::One,
+            D => V5::D,
+            DBAR => V5::Dbar,
+            _ => V5::X,
+        }
     }
 }
 
@@ -172,8 +263,14 @@ pub struct InjectedFault {
 /// implication engine underneath the PODEM ATPG.
 ///
 /// Assign primary inputs (possibly `X`) with [`FiveValueSim::set_input`],
-/// call [`FiveValueSim::imply`], then inspect node values, the D-frontier
-/// and output detection.
+/// call [`FiveValueSim::imply`] (or [`FiveValueSim::imply_from_input`]
+/// after a single input change), then inspect node values.
+///
+/// Every value the incremental implication overwrites is recorded on an
+/// undo trail, so a search can roll back to any earlier point of its
+/// current path in one step ([`FiveValueSim::trail_mark`],
+/// [`FiveValueSim::undo_to`]) instead of re-implying each input it
+/// un-assigns.
 ///
 /// # Example
 ///
@@ -206,6 +303,9 @@ pub struct FiveValueSim<'c> {
     /// Optional propagation scope (see [`FiveValueSim::restrict_scope`]):
     /// implication maintains values only for marked nodes.
     scope: Option<Vec<bool>>,
+    /// `(node, previous value)` for every incremental write since the
+    /// last full [`FiveValueSim::imply`], oldest first.
+    trail: Vec<(u32, V5)>,
 }
 
 impl<'c> FiveValueSim<'c> {
@@ -221,6 +321,7 @@ impl<'c> FiveValueSim<'c> {
             values: vec![V5::X; circuit.num_nodes()],
             queue: LevelQueue::new(graph),
             scope: None,
+            trail: Vec::new(),
         }
     }
 
@@ -233,11 +334,7 @@ impl<'c> FiveValueSim<'c> {
     /// node sees exactly the fan-in values a full implication would, and
     /// its value is therefore bit-identical to the unscoped simulator's. A
     /// caller that reads only in-scope nodes (plus [`FiveValueSim::input`],
-    /// which bypasses node values) cannot observe the difference; the
-    /// whole-circuit inspectors ([`FiveValueSim::d_frontier`],
-    /// [`FiveValueSim::fault_at_output`],
-    /// [`FiveValueSim::x_path_to_output_exists`]) read out-of-scope nodes
-    /// and are *not* meaningful on a scoped simulator.
+    /// which bypasses node values) cannot observe the difference.
     ///
     /// This is the workhorse behind justification-goal PODEM searches: a
     /// goal over a handful of nodes only ever reads their fan-in cone, and
@@ -284,97 +381,42 @@ impl<'c> FiveValueSim<'c> {
         self.pi_values[index]
     }
 
-    /// Clears all primary input assignments back to `X`.
-    pub fn reset_inputs(&mut self) {
-        self.pi_values.fill(None);
-    }
-
-    /// Evaluates one node under the current values and injected fault.
-    fn eval_node(&self, id: NodeId) -> V5 {
+    /// Evaluates node `idx` under the current values and injected fault:
+    /// one dual-rail fold over the fan-in codes, the fault forced onto the
+    /// faulty rail.
+    #[inline]
+    fn eval_node(&self, idx: usize) -> V5 {
         let g = self.graph;
-        let idx = id.index();
-        let fanin = g.fanin(idx);
-        let v = match g.kind(idx) {
+        let fault = self.fault.filter(|f| f.site.index() == idx);
+        let code = match g.kind(idx) {
             GateKind::Input => {
                 let pos = g.input_pos(idx).expect("input node is registered");
-                let v = self.pi_values[pos];
-                V5::from_pair(v, v)
+                rail::input(self.pi_values[pos])
             }
-            GateKind::Dff => V5::X,
-            kind => {
-                let good = eval3(kind, fanin.iter().map(|&f| self.values[f as usize].good()));
-                // Fast path: away from the fault site with no fault effect
-                // on any fan-in, the faulty machine sees exactly the good
-                // inputs — the good fold already yields both components.
-                // This is the overwhelming majority of nodes in a PODEM
-                // walk (fault effects live in one narrow cone).
-                let at_site = matches!(self.fault, Some(f) if f.site == id);
-                if !at_site
-                    && !fanin
-                        .iter()
-                        .any(|&f| self.values[f as usize].is_fault_effect())
-                {
-                    return V5::from_pair(good, good);
-                }
-                let faulty = match self.fault {
-                    Some(InjectedFault {
-                        site,
-                        pin: Some(p),
-                        stuck,
-                    }) if site == id => {
-                        let p = p as usize;
-                        eval3(
-                            kind,
-                            fanin.iter().enumerate().map(|(k, &f)| {
-                                if k == p {
-                                    Some(stuck)
-                                } else {
-                                    self.values[f as usize].faulty()
-                                }
-                            }),
-                        )
-                    }
-                    _ => eval3(
-                        kind,
-                        fanin.iter().map(|&f| self.values[f as usize].faulty()),
-                    ),
-                };
-                V5::from_pair(good, faulty)
-            }
+            GateKind::Dff => rail::X,
+            kind => rail::pin_faulted_gate(
+                kind,
+                g.fanin(idx).iter().map(|&f| self.values[f as usize] as u8),
+                fault.and_then(|f| Some((usize::from(f.pin?), f.stuck))),
+            ),
         };
-        // Output-stem fault overrides the faulty component.
-        match self.fault {
-            Some(InjectedFault {
-                site,
-                pin: None,
-                stuck,
-            }) if site == id => V5::from_pair(v.good(), Some(stuck)),
-            _ => v,
-        }
+        rail::finish(code, fault.filter(|f| f.pin.is_none()).map(|f| f.stuck))
     }
 
     /// Performs full forward implication: re-evaluates every node in
     /// topological order under the current input assignment and injected
-    /// fault.
+    /// fault. Starts a fresh undo trail.
     pub fn imply(&mut self) {
         let g = self.graph;
-        match self.scope.take() {
-            None => {
-                for &id in g.topo() {
-                    let id = id as usize;
-                    self.values[id] = self.eval_node(NodeId::from_index(id));
-                }
-            }
-            Some(mask) => {
-                for &id in g.topo() {
-                    let id = id as usize;
-                    if mask[id] {
-                        self.values[id] = self.eval_node(NodeId::from_index(id));
-                    }
-                }
-                self.scope = Some(mask);
+        self.trail.clear();
+        let scope = self.scope.take();
+        for &id in g.topo() {
+            let id = id as usize;
+            if scope.as_ref().is_none_or(|m| m[id]) {
+                self.values[id] = self.eval_node(id);
             }
         }
+        self.scope = scope;
     }
 
     /// Incremental implication: re-evaluates only the fan-out cone of the
@@ -382,7 +424,7 @@ impl<'c> FiveValueSim<'c> {
     /// already consistent. Equivalent to (and property-tested against) a
     /// full [`FiveValueSim::imply`] after a single input change — but
     /// orders of magnitude cheaper on large circuits, which is what makes
-    /// PODEM fast.
+    /// PODEM fast. Every overwritten value goes on the undo trail.
     ///
     /// The walk drains a reusable [`LevelQueue`] (the same structure the
     /// PPSFP cone propagation uses): pending nodes bucketed by logic
@@ -402,107 +444,69 @@ impl<'c> FiveValueSim<'c> {
         if mask.is_some_and(|m| !m[source]) {
             return;
         }
-        let new_v = self.eval_node(NodeId::from_index(source));
-        if new_v == self.values[source] {
+        if !self.write(source) {
             return;
         }
-        self.values[source] = new_v;
-
         self.queue.begin(g.level(source));
-        for &s in g.fanout(source) {
-            let si = s as usize;
-            if g.kind(si).is_combinational() && mask.is_none_or(|m| m[si]) {
-                self.queue.push(s, g.level(si));
-            }
-        }
-        self.drain_queue(mask);
-    }
-
-    /// Drains the pending levelized wave: re-evaluates each queued node
-    /// after its fan-ins settled, queueing fan-outs of nodes whose value
-    /// changed.
-    fn drain_queue(&mut self, mask: Option<&[bool]>) {
-        let g = self.graph;
+        self.push_fanout(source, mask);
         while let Some(bucket) = self.queue.take_bucket() {
             for &id in &bucket {
                 let id = id as usize;
-                let v = self.eval_node(NodeId::from_index(id));
-                if v == self.values[id] {
-                    continue;
-                }
-                self.values[id] = v;
-                for &s in g.fanout(id) {
-                    let si = s as usize;
-                    if g.kind(si).is_combinational() && mask.is_none_or(|m| m[si]) {
-                        self.queue.push(s, g.level(si));
-                    }
+                if self.write(id) {
+                    self.push_fanout(id, mask);
                 }
             }
             self.queue.restore(bucket);
         }
     }
 
-    /// The composite value of `id` after the last [`FiveValueSim::imply`].
+    /// Re-evaluates node `id`; on a change records the old value on the
+    /// trail, stores the new one and returns true.
+    #[inline]
+    fn write(&mut self, id: usize) -> bool {
+        let v = self.eval_node(id);
+        let old = self.values[id];
+        if v == old {
+            return false;
+        }
+        self.trail.push((id as u32, old));
+        self.values[id] = v;
+        true
+    }
+
+    /// Queues the in-scope combinational fan-outs of `id`.
+    #[inline]
+    fn push_fanout(&mut self, id: usize, mask: Option<&[bool]>) {
+        let g = self.graph;
+        for &s in g.fanout(id) {
+            let si = s as usize;
+            if g.kind(si).is_combinational() && mask.is_none_or(|m| m[si]) {
+                self.queue.push(s, g.level(si));
+            }
+        }
+    }
+
+    /// The current length of the undo trail: a point
+    /// [`FiveValueSim::undo_to`] can return to.
+    pub fn trail_mark(&self) -> usize {
+        self.trail.len()
+    }
+
+    /// Restores every node value to what it was when `mark` was taken,
+    /// undoing the incremental writes made since, newest first. Input
+    /// assignments are not on the trail: the caller restores them (with
+    /// [`FiveValueSim::set_input`]) to their state at `mark`, after which
+    /// the values are exactly those a full [`FiveValueSim::imply`] would
+    /// compute.
+    pub fn undo_to(&mut self, mark: usize) {
+        for (id, old) in self.trail.drain(mark..).rev() {
+            self.values[id as usize] = old;
+        }
+    }
+
+    /// The composite value of `id` after the last implication.
     pub fn value(&self, id: NodeId) -> V5 {
         self.values[id.index()]
-    }
-
-    /// Gates with a fault effect (`D`/`D̄`) on some fan-in and an unknown
-    /// output — the frontier PODEM pushes towards the outputs.
-    pub fn d_frontier(&self) -> Vec<NodeId> {
-        let mut frontier = Vec::new();
-        for &id in self.circuit.topo_order() {
-            let node = self.circuit.node(id);
-            if !node.kind().is_combinational() {
-                continue;
-            }
-            if !self.values[id.index()].is_unknown() {
-                continue;
-            }
-            if node
-                .fanin()
-                .iter()
-                .any(|f| self.values[f.index()].is_fault_effect())
-            {
-                frontier.push(id);
-            }
-        }
-        frontier
-    }
-
-    /// True if a fault effect has reached any primary output.
-    pub fn fault_at_output(&self) -> bool {
-        self.circuit
-            .outputs()
-            .iter()
-            .any(|o| self.values[o.index()].is_fault_effect())
-    }
-
-    /// True if some node of the D-frontier still has an X-path to a primary
-    /// output (a path of unknown-valued nodes). Without one, the search is
-    /// hopeless and PODEM backtracks.
-    pub fn x_path_to_output_exists(&self) -> bool {
-        let mut reach = vec![false; self.circuit.num_nodes()];
-        // seed with unknown outputs
-        for &o in self.circuit.outputs() {
-            if self.values[o.index()].is_unknown() {
-                reach[o.index()] = true;
-            }
-        }
-        // propagate reachability backwards through unknown nodes
-        for &id in self.circuit.topo_order().iter().rev() {
-            if !reach[id.index()] {
-                continue;
-            }
-            for &f in self.circuit.node(id).fanin() {
-                if self.values[f.index()].is_unknown() {
-                    reach[f.index()] = true;
-                }
-            }
-        }
-        self.d_frontier()
-            .iter()
-            .any(|g| reach[g.index()] || self.circuit.fanout(*g).iter().any(|s| reach[s.index()]))
     }
 }
 
@@ -568,7 +572,9 @@ mod tests {
         sim.set_input(0, Some(false));
         sim.imply();
         assert_eq!(sim.value(g10), V5::D);
-        assert!(!sim.d_frontier().is_empty());
+        // G22 = NAND(G10, G16) with G16 unknown: a D-frontier gate
+        let g22 = c17.find("G22").unwrap();
+        assert_eq!(sim.value(g22), V5::X);
     }
 
     #[test]
@@ -615,23 +621,147 @@ mod tests {
         sim.set_input(0, Some(true));
         sim.set_input(2, Some(true));
         sim.imply();
-        assert!(sim.fault_at_output());
+        assert!(sim.value(g22).is_fault_effect());
     }
 
-    #[test]
-    fn x_path_check_sees_blockage() {
-        let c17 = bist_netlist::iscas85::c17();
-        let g10 = c17.find("G10").unwrap();
-        let mut sim = FiveValueSim::new(
-            &c17,
-            Some(InjectedFault {
-                site: g10,
-                pin: None,
-                stuck: false,
+    /// The three-valued fold the engine evaluated each machine with
+    /// before the dual-rail codes: the reference the rail folds must
+    /// reproduce exactly.
+    fn eval3(kind: GateKind, inputs: impl Iterator<Item = Option<bool>> + Clone) -> Option<bool> {
+        match kind {
+            GateKind::Const0 => Some(false),
+            GateKind::Const1 => Some(true),
+            GateKind::Buf => inputs.clone().next().flatten(),
+            GateKind::Not => inputs.clone().next().flatten().map(|v| !v),
+            GateKind::And | GateKind::Nand => {
+                let mut any_unknown = false;
+                let mut out = true;
+                for v in inputs {
+                    match v {
+                        Some(false) => {
+                            out = false;
+                            any_unknown = false;
+                            break;
+                        }
+                        Some(true) => {}
+                        None => any_unknown = true,
+                    }
+                }
+                let core = if any_unknown { None } else { Some(out) };
+                if kind == GateKind::Nand {
+                    core.map(|v| !v)
+                } else {
+                    core
+                }
+            }
+            GateKind::Or | GateKind::Nor => {
+                let mut any_unknown = false;
+                let mut out = false;
+                for v in inputs {
+                    match v {
+                        Some(true) => {
+                            out = true;
+                            any_unknown = false;
+                            break;
+                        }
+                        Some(false) => {}
+                        None => any_unknown = true,
+                    }
+                }
+                let core = if any_unknown { None } else { Some(out) };
+                if kind == GateKind::Nor {
+                    core.map(|v| !v)
+                } else {
+                    core
+                }
+            }
+            GateKind::Xor | GateKind::Xnor => {
+                let mut parity = false;
+                for v in inputs {
+                    match v {
+                        Some(b) => parity ^= b,
+                        None => return None,
+                    }
+                }
+                Some(if kind == GateKind::Xnor {
+                    !parity
+                } else {
+                    parity
+                })
+            }
+            GateKind::Input | GateKind::Dff => unreachable!("sources are not evaluated"),
+        }
+    }
+
+    /// The pre-dual-rail node evaluation: good and faulty machines folded
+    /// separately, the pin fault substituted on the faulty fold, the stem
+    /// fault overriding the faulty component.
+    fn oracle(kind: GateKind, inputs: &[V5], pin: PinFault, stem: Option<bool>) -> V5 {
+        let good = eval3(kind, inputs.iter().map(|v| v.good()));
+        let faulty = eval3(
+            kind,
+            inputs.iter().enumerate().map(|(k, v)| match pin {
+                Some((p, stuck)) if p == k => Some(stuck),
+                _ => v.faulty(),
             }),
         );
-        sim.set_input(0, Some(false)); // activates fault: G10 = D
-        sim.imply();
-        assert!(sim.x_path_to_output_exists());
+        let v = V5::from_pair(good, faulty);
+        match stem {
+            Some(stuck) => V5::from_pair(v.good(), Some(stuck)),
+            None => v,
+        }
+    }
+
+    /// A fan-in pin stuck at a value, as `(pin, stuck)`.
+    type PinFault = Option<(usize, bool)>;
+
+    #[test]
+    fn dual_rail_matches_the_three_valued_oracle_exhaustively() {
+        const ALL: [V5; 5] = [V5::Zero, V5::One, V5::X, V5::D, V5::Dbar];
+        let kinds = [
+            GateKind::Const0,
+            GateKind::Const1,
+            GateKind::Buf,
+            GateKind::Not,
+            GateKind::And,
+            GateKind::Nand,
+            GateKind::Or,
+            GateKind::Nor,
+            GateKind::Xor,
+            GateKind::Xnor,
+        ];
+        let mut checked = 0usize;
+        for kind in kinds {
+            let arities = match kind {
+                GateKind::Const0 | GateKind::Const1 => 0..=0,
+                GateKind::Buf | GateKind::Not => 1..=1,
+                _ => 1..=4,
+            };
+            for n in arities {
+                // (pin fault, stem fault) pairs
+                let mut faults: Vec<(PinFault, Option<bool>)> =
+                    vec![(None, None), (None, Some(false)), (None, Some(true))];
+                for p in 0..n {
+                    faults.push((Some((p, false)), None));
+                    faults.push((Some((p, true)), None));
+                }
+                for tuple in 0..5usize.pow(n as u32) {
+                    let inputs: Vec<V5> = (0..n)
+                        .map(|k| ALL[tuple / 5usize.pow(k as u32) % 5])
+                        .collect();
+                    for &(pin, stem) in &faults {
+                        let code =
+                            rail::pin_faulted_gate(kind, inputs.iter().map(|&v| v as u8), pin);
+                        assert_eq!(
+                            rail::finish(code, stem),
+                            oracle(kind, &inputs, pin, stem),
+                            "{kind:?} {inputs:?} pin {pin:?} stem {stem:?}"
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 40_000, "exhaustive sweep ran {checked} cases");
     }
 }

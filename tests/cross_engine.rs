@@ -149,3 +149,96 @@ fn incremental_imply_equals_full_imply() {
         }
     }
 }
+
+/// PODEM-style random decision walks over the undo trail: assign inputs
+/// one at a time, each under a trail mark, and now and then pop a random
+/// number of decisions back to `X` with one `undo_to`. After every undo
+/// the simulator must hold exactly what a full implication of the
+/// remaining assignment computes — unfaulted, under stem and pin faults,
+/// and on a scoped simulator.
+#[test]
+fn undo_trail_matches_full_imply_on_random_walks() {
+    use bist_logicsim::{FiveValueSim, InjectedFault};
+    use bist_netlist::NodeId;
+    use rand::Rng;
+
+    for name in ["c432", "c1908"] {
+        let c = iscas85::circuit(name).unwrap();
+        let mid = c.topo_order()[c.num_nodes() / 2];
+        let multi_input = *c
+            .topo_order()
+            .iter()
+            .find(|&&id| c.node(id).fanin().len() >= 2)
+            .expect("a multi-input gate");
+        // fan-in cone of the first three outputs: a fan-in closed scope
+        let mut scope = vec![false; c.num_nodes()];
+        let mut stack: Vec<NodeId> = c.outputs().iter().take(3).copied().collect();
+        while let Some(id) = stack.pop() {
+            if !std::mem::replace(&mut scope[id.index()], true) {
+                stack.extend(c.node(id).fanin().iter().copied());
+            }
+        }
+        let stem = InjectedFault {
+            site: mid,
+            pin: None,
+            stuck: true,
+        };
+        let pin = InjectedFault {
+            site: multi_input,
+            pin: Some(1),
+            stuck: false,
+        };
+        let setups = [
+            (None, None),
+            (Some(stem), None),
+            (Some(pin), None),
+            (Some(stem), Some(scope)),
+        ];
+        for (case, (fault, scope)) in setups.into_iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(7 + case as u64);
+            let mut sim = FiveValueSim::new(&c, fault);
+            let mut reference = FiveValueSim::new(&c, fault);
+            if let Some(scope) = scope {
+                sim.restrict_scope(scope.clone());
+                reference.restrict_scope(scope);
+            }
+            sim.imply();
+            let width = c.inputs().len();
+            let mut decisions: Vec<(usize, usize)> = Vec::new();
+            let mut undos = 0;
+            for step in 0..400 {
+                let free: Vec<usize> = (0..width).filter(|&i| sim.input(i).is_none()).collect();
+                if !free.is_empty() && rng.gen_range(0..4) != 0 {
+                    let pi = free[rng.gen_range(0..free.len())];
+                    decisions.push((pi, sim.trail_mark()));
+                    sim.set_input(pi, Some(rng.gen()));
+                    sim.imply_from_input(pi);
+                    continue;
+                }
+                if decisions.is_empty() {
+                    continue;
+                }
+                let keep = rng.gen_range(0..decisions.len());
+                let mark = decisions[keep].1;
+                for (pi, _) in decisions.drain(keep..) {
+                    sim.set_input(pi, None);
+                }
+                sim.undo_to(mark);
+                undos += 1;
+                for i in 0..width {
+                    reference.set_input(i, sim.input(i));
+                }
+                reference.imply();
+                for idx in 0..c.num_nodes() {
+                    let id = NodeId::from_index(idx);
+                    assert_eq!(
+                        sim.value(id),
+                        reference.value(id),
+                        "{name} case {case} step {step}: node {id} diverged after undo"
+                    );
+                }
+            }
+            assert!(undos > 20, "{name} case {case}: only {undos} undos");
+        }
+    }
+}

@@ -102,7 +102,7 @@ fn pseudo_random_phase_matches_software_model() {
     let mut session = BistSession::new(&c, MixedSchemeConfig::default());
     let s = session.solve_at(40).unwrap();
     let expected = session.pseudo_random_patterns(40);
-    assert_eq!(s.generator.expected_random(), &expected[..]);
+    assert_eq!(s.generator.expected_random(), expected);
     let (random, _) = s.generator.replay();
     assert_eq!(random, expected);
 }

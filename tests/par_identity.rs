@@ -196,3 +196,36 @@ fn parallel_circuit_sweep_equals_solo_sessions() {
         }
     }
 }
+
+/// Every `SessionStats` counter is a property of the serial replay order,
+/// not of which speculative searches a wider pool happened to run: the
+/// stats ride in cached results whose key omits the width, so a sweep
+/// must report the same stats at every width, for every fault model.
+#[test]
+fn session_stats_are_width_invariant() {
+    use bist_faultmodel::{FaultModel, ModelSession};
+    for (name, points) in [("c17", &[0usize, 4, 8][..]), ("c432", &[0, 50, 100])] {
+        let circuit = bist_netlist::iscas85::circuit(name).unwrap();
+        for model in [
+            FaultModel::StuckAt,
+            FaultModel::Transition,
+            FaultModel::bridging(),
+        ] {
+            let stats: Vec<SessionStats> = [1usize, 2, 4]
+                .iter()
+                .map(|&width| {
+                    let mut config = MixedSchemeConfig {
+                        threads: width,
+                        ..MixedSchemeConfig::default()
+                    };
+                    config.atpg.threads = width;
+                    let mut session = ModelSession::new(&circuit, config, model);
+                    session.sweep(points).unwrap();
+                    session.stats()
+                })
+                .collect();
+            assert_eq!(stats[0], stats[1], "{name} {model:?}: width 1 vs 2");
+            assert_eq!(stats[0], stats[2], "{name} {model:?}: width 1 vs 4");
+        }
+    }
+}
