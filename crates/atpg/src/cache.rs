@@ -44,6 +44,16 @@ pub fn stable_fill_seed(fault: &Fault) -> u64 {
         Fault::OpenParallel { site, pin } => (2, site.index() as u64, u64::from(pin), 0),
         Fault::OpenRise { site } => (3, site.index() as u64, 0xFF, 0),
         Fault::OpenFall { site } => (4, site.index() as u64, 0xFF, 0),
+        Fault::Transition {
+            site,
+            pin,
+            transition,
+        } => (
+            5,
+            site.index() as u64,
+            pin.map_or(0xFFu64, u64::from),
+            u64::from(transition.initial_value()),
+        ),
     };
     splitmix64((site << 12) ^ (pin << 4) ^ (value << 3) ^ tag)
 }
@@ -111,8 +121,10 @@ impl CacheKey {
 /// justification requirements — and the backtrack budget alone. Distinct
 /// *faults* whose searches coincide (every series-open shares its `v2`
 /// target and `v1` requirement with the same gate's rise- or fall-open;
-/// a series-open's `v2` is literally a stem stuck-at) share one entry and
-/// re-fill the cube with their own seeds.
+/// a series-open's `v2` is literally a stem stuck-at; a stem transition
+/// fault's searches are those of an open at the same node, and a branch
+/// transition fault shares its `v1` with its driver's stem) share one
+/// entry and re-fill the cube with their own seeds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum RawSearch {
     /// The search reached its goal; the cube holds the committed bits.
@@ -272,8 +284,19 @@ mod tests {
         let c = Fault::OpenSeries {
             site: NodeId::from_index(3),
         };
+        let d = Fault::OpenRise {
+            site: NodeId::from_index(3),
+        };
+        let e = Fault::Transition {
+            site: NodeId::from_index(3),
+            pin: None,
+            transition: bist_fault::Transition::SlowToRise,
+        };
         assert_ne!(stable_fill_seed(&a), stable_fill_seed(&b));
         assert_ne!(stable_fill_seed(&a), stable_fill_seed(&c));
+        // a stem transition shares its searches with the same node's
+        // open, never its fill seed
+        assert_ne!(stable_fill_seed(&d), stable_fill_seed(&e));
         // determinism: same fault, same seed, every time
         assert_eq!(stable_fill_seed(&a), stable_fill_seed(&a));
     }

@@ -26,7 +26,7 @@ pub struct AtpgOptions {
 
 /// One entry of a deterministic test sequence: a single pattern for a
 /// stuck-at target, or an ordered *(initialization, transition)* pair for a
-/// stuck-open target. Units are atomic — compaction never splits a pair,
+/// stuck-open or transition target. Units are atomic — compaction never splits a pair,
 /// preserving the order attribute the LFSROM relies on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TestUnit {
@@ -70,12 +70,28 @@ impl AtpgRun {
 }
 
 /// The deterministic test generation flow: PODEM per open fault, pattern
-/// pairs for stuck-open faults, collateral fault dropping by PPSFP
-/// simulation, redundancy bookkeeping and reverse-order compaction.
+/// pairs for stuck-open and transition faults, collateral fault dropping
+/// by PPSFP simulation, redundancy bookkeeping and reverse-order
+/// compaction.
 ///
 /// This is the reproduction's stand-in for the paper's System Hilo runs —
 /// both for the full deterministic test sets of Table 1/Figure 6 and for
 /// the top-up sequences of the mixed scheme (Table 2/Figures 5/7/8).
+///
+/// # Example
+///
+/// Two-pattern delay tests: every transition fault of c17 is testable.
+///
+/// ```
+/// use bist_atpg::{AtpgOptions, TestGenerator};
+/// use bist_fault::FaultList;
+///
+/// let c17 = bist_netlist::iscas85::c17();
+/// let faults = FaultList::transition(&c17);
+/// let run = TestGenerator::new(&c17, faults, AtpgOptions::default()).run();
+/// assert_eq!(run.report.undetected, 0);
+/// assert!(run.units.iter().all(|unit| unit.patterns.len() == 2));
+/// ```
 #[derive(Debug)]
 pub struct TestGenerator<'c> {
     circuit: &'c Circuit,
@@ -145,9 +161,10 @@ impl<'c> TestGenerator<'c> {
             // Searches run at the *raw* level (seed-independent, keyed by
             // the deterministic target rather than the consuming fault),
             // so batch members whose targets coincide — every series-open
-            // with its gate's rise- or fall-open, stuck-open `v2`s with
-            // stem stuck-ats — pay for one search between them, and each
-            // consumer re-fills the shared cube with its own seed.
+            // with its gate's rise- or fall-open, two-pattern `v2`s with
+            // stem stuck-ats, branch transitions' `v1`s with their stem's
+            // — pay for one search between them, and each consumer
+            // re-fills the shared cube with its own seed.
             let misses: Vec<(usize, Fault)> = batch
                 .iter()
                 .map(|&fi| (fi, *faults.get(fi).expect("index in range")))
@@ -155,7 +172,7 @@ impl<'c> TestGenerator<'c> {
                 .collect();
 
             // phase 1: the detect search every miss starts with (for a
-            // stuck-open, its v2 transition target)
+            // two-pattern fault, its v2 transition target)
             let mut pending: Vec<(InjectedFault, PodemOptions)> = Vec::new();
             for &(_, fault) in &misses {
                 let opts = target_options(options, &fault);
@@ -177,15 +194,16 @@ impl<'c> TestGenerator<'c> {
                 cache.insert_raw_detect(target, opts.backtrack_limit, raw);
             }
 
-            // phase 2: v1 justification for stuck-opens whose v2 search
-            // produced a test (the only case the serial flow justifies)
+            // phase 2: v1 justification for two-pattern faults whose v2
+            // search produced a test (the only case the serial flow
+            // justifies)
             let mut pending: Vec<(Vec<NodeReq>, PodemOptions)> = Vec::new();
             for &(_, fault) in &misses {
                 if matches!(fault, Fault::StuckAt { .. }) {
                     continue;
                 }
                 let opts = target_options(options, &fault);
-                let (v2_target, v1_reqs) = open_fault_targets(circuit, fault);
+                let (v2_target, v1_reqs) = two_pattern_targets(circuit, fault);
                 if !matches!(
                     cache.raw_detect(v2_target, opts.backtrack_limit),
                     Some(RawSearch::Test { .. })
@@ -312,8 +330,8 @@ fn target_options(options: AtpgOptions, fault: &Fault) -> PodemOptions {
 }
 
 /// The stuck-at target a fault's deterministic generation starts with: a
-/// stuck-at fault is its own target, a stuck-open contributes its `v2`
-/// transition target.
+/// stuck-at fault is its own target, a two-pattern fault contributes its
+/// `v2` transition target.
 fn detect_target(circuit: &Circuit, fault: &Fault) -> InjectedFault {
     match *fault {
         Fault::StuckAt { site, pin, value } => InjectedFault {
@@ -321,7 +339,7 @@ fn detect_target(circuit: &Circuit, fault: &Fault) -> InjectedFault {
             pin,
             stuck: value,
         },
-        open => open_fault_targets(circuit, open).0,
+        open => two_pattern_targets(circuit, open).0,
     }
 }
 
@@ -354,7 +372,7 @@ fn assemble(
             }
         }
         open => {
-            let (v2_target, v1_reqs) = open_fault_targets(circuit, open);
+            let (v2_target, v1_reqs) = two_pattern_targets(circuit, open);
             match cache
                 .raw_detect(v2_target, limit)
                 .expect("v2 target resolved in phase 1")
@@ -383,14 +401,17 @@ fn assemble(
     }
 }
 
-/// Maps a stuck-open fault to its transition-pattern PODEM target (`v2`)
-/// and the good-value requirements of its initialization pattern (`v1`).
+/// Maps a two-pattern (stuck-open or transition) fault to its
+/// transition-pattern PODEM target (`v2`) and the good-value requirements
+/// of its initialization pattern (`v1`).
 ///
-/// See `bist-fault`'s crate docs for the transistor-level reasoning; in
-/// short, `v2` is a stuck-at test for the blocked transition's target
-/// value, and `v1` justifies the complementary output level (for
-/// parallel-opens: all inputs non-controlling).
-fn open_fault_targets(
+/// See `bist-fault`'s crate docs for the transistor- and line-level
+/// reasoning; in short, `v2` is a stuck-at test for the blocked
+/// transition's target value, and `v1` justifies the complementary level
+/// (for parallel-opens: all inputs non-controlling; for transition
+/// faults: the initial value on the line's driver, so a branch shares its
+/// `v1` with its driver's stem).
+fn two_pattern_targets(
     circuit: &Circuit,
     fault: Fault,
 ) -> (InjectedFault, Vec<(bist_netlist::NodeId, bool)>) {
@@ -445,13 +466,29 @@ fn open_fault_targets(
             },
             vec![(site, true)],
         ),
+        Fault::Transition {
+            site,
+            pin,
+            transition,
+        } => {
+            let initial = transition.initial_value();
+            let driver = pin.map_or(site, |p| circuit.node(site).fanin()[p as usize]);
+            (
+                InjectedFault {
+                    site,
+                    pin,
+                    stuck: initial,
+                },
+                vec![(driver, initial)],
+            )
+        }
         Fault::StuckAt { .. } => unreachable!("stuck-at faults have single-pattern tests"),
     }
 }
 
 /// Reverse-order compaction: simulate units last-to-first with fault
 /// dropping; units detecting nothing new in that order are discarded. The
-/// compacted sequence is verified forward — if (through stuck-open
+/// compacted sequence is verified forward — if (through two-pattern
 /// adjacency effects) it detects fewer faults than the original, the
 /// original is kept.
 fn compact(
@@ -514,6 +551,30 @@ mod tests {
     }
 
     #[test]
+    fn transition_c17_full_flow_covers_everything() {
+        let c17 = bist_netlist::iscas85::c17();
+        let faults = FaultList::transition(&c17);
+        let total = faults.len();
+        let run = TestGenerator::new(&c17, faults, AtpgOptions::default()).run();
+        assert_eq!(run.report.total(), total);
+        assert_eq!(run.report.undetected, 0);
+        assert_eq!(run.report.aborted, 0);
+        assert_eq!(run.report.redundant, 0, "c17 delay faults are all testable");
+        assert_eq!(run.report.detected, total);
+        // every pair checks out against the naive serial oracle
+        for unit in &run.units {
+            let [v1, v2] = unit.patterns.as_slice() else {
+                panic!("transition unit of {} patterns", unit.patterns.len());
+            };
+            assert!(
+                bist_faultsim::serial::detects(&c17, unit.target, Some(v1), v2),
+                "unit does not detect {}",
+                unit.target.describe(&c17)
+            );
+        }
+    }
+
+    #[test]
     fn compaction_shrinks_or_preserves() {
         let c17 = bist_netlist::iscas85::c17();
         let faults = FaultList::mixed_model(&c17);
@@ -532,14 +593,33 @@ mod tests {
     }
 
     #[test]
+    fn transition_compaction_shrinks_or_preserves() {
+        let c17 = bist_netlist::iscas85::c17();
+        let faults = FaultList::transition(&c17);
+        let uncompacted = TestGenerator::new(
+            &c17,
+            faults.clone(),
+            AtpgOptions {
+                no_compaction: true,
+                ..AtpgOptions::default()
+            },
+        )
+        .run();
+        let compacted = TestGenerator::new(&c17, faults, AtpgOptions::default()).run();
+        assert!(compacted.num_patterns() <= uncompacted.num_patterns());
+        assert_eq!(compacted.report.detected, uncompacted.report.detected);
+    }
+
+    #[test]
     fn pairs_are_adjacent_and_ordered() {
         let c17 = bist_netlist::iscas85::c17();
-        let faults = FaultList::stuck_open(&c17);
-        let run = TestGenerator::new(&c17, faults, AtpgOptions::default()).run();
-        assert_eq!(run.report.undetected, 0);
-        for unit in &run.units {
-            assert_eq!(unit.patterns.len(), 2, "stuck-open tests come in pairs");
-            assert!(unit.target.is_stuck_open());
+        for faults in [FaultList::stuck_open(&c17), FaultList::transition(&c17)] {
+            let run = TestGenerator::new(&c17, faults, AtpgOptions::default()).run();
+            assert_eq!(run.report.undetected, 0);
+            for unit in &run.units {
+                assert_eq!(unit.patterns.len(), 2, "two-pattern tests come in pairs");
+                assert!(unit.target.is_stuck_open() || unit.target.is_transition());
+            }
         }
     }
 
@@ -560,6 +640,32 @@ mod tests {
         assert!(run.report.redundant > 0, "planted redundancy not proven");
         assert_eq!(run.report.undetected, 0);
         assert_eq!(run.report.aborted, 0);
+    }
+
+    #[test]
+    fn redundant_transition_faults_are_proven() {
+        // y = OR(a, AND(a, b)): a=0 forces the AND output t to 0 and y to
+        // a, so t stuck-at-0 is redundant and a slow-to-rise on t is too
+        use bist_fault::Transition;
+        use bist_netlist::{CircuitBuilder, GateKind};
+        let mut b = CircuitBuilder::new("red");
+        b.add_input("a").unwrap();
+        b.add_input("b").unwrap();
+        b.add_gate("t", GateKind::And, &["a", "b"]).unwrap();
+        b.add_gate("y", GateKind::Or, &["a", "t"]).unwrap();
+        b.mark_output("y").unwrap();
+        let circuit = b.build().unwrap();
+        let t = circuit.find("t").unwrap();
+        let slow: FaultList = [Fault::Transition {
+            site: t,
+            pin: None,
+            transition: Transition::SlowToRise,
+        }]
+        .into_iter()
+        .collect();
+        let run = TestGenerator::new(&circuit, slow, AtpgOptions::default()).run();
+        assert_eq!(run.report.redundant, 1);
+        assert_eq!(run.report.undetected, 0);
     }
 
     #[test]
@@ -607,83 +713,108 @@ mod tests {
     }
 
     #[test]
+    fn transition_sequence_concatenates_pairs_in_order() {
+        let c17 = bist_netlist::iscas85::c17();
+        let faults = FaultList::transition(&c17);
+        let run = TestGenerator::new(&c17, faults, AtpgOptions::default()).run();
+        let seq = run.sequence();
+        assert_eq!(seq.len(), run.num_patterns());
+        assert_eq!(seq.len(), 2 * run.units.len());
+        for (k, unit) in run.units.iter().enumerate() {
+            assert_eq!(seq[2 * k], unit.patterns[0]);
+            assert_eq!(seq[2 * k + 1], unit.patterns[1]);
+        }
+    }
+
+    #[test]
     fn batched_generation_is_bit_identical_to_serial() {
         let c = bist_netlist::iscas85::circuit("c432").unwrap();
-        let faults = FaultList::mixed_model(&c);
-        let serial = TestGenerator::new(
-            &c,
-            faults.clone(),
-            AtpgOptions {
-                threads: 1,
-                ..AtpgOptions::default()
-            },
-        )
-        .run();
-        for threads in [2, 4] {
-            let batched = TestGenerator::new(
+        for faults in [FaultList::mixed_model(&c), FaultList::transition(&c)] {
+            let serial = TestGenerator::new(
                 &c,
                 faults.clone(),
                 AtpgOptions {
-                    threads,
+                    threads: 1,
                     ..AtpgOptions::default()
                 },
             )
             .run();
-            assert_eq!(serial.units, batched.units, "threads={threads}");
-            assert_eq!(serial.statuses, batched.statuses, "threads={threads}");
-            assert_eq!(serial.atpg_calls, batched.atpg_calls, "threads={threads}");
+            for threads in [2, 4] {
+                let batched = TestGenerator::new(
+                    &c,
+                    faults.clone(),
+                    AtpgOptions {
+                        threads,
+                        ..AtpgOptions::default()
+                    },
+                )
+                .run();
+                assert_eq!(serial.units, batched.units, "threads={threads}");
+                assert_eq!(serial.statuses, batched.statuses, "threads={threads}");
+                assert_eq!(serial.atpg_calls, batched.atpg_calls, "threads={threads}");
+            }
         }
     }
 
     #[test]
     fn warm_cache_replays_bit_identically_and_hits() {
         let c = bist_netlist::iscas85::circuit("c432").unwrap();
-        let faults = FaultList::mixed_model(&c);
-        let options = AtpgOptions {
-            threads: 1,
-            ..AtpgOptions::default()
-        };
-        let mut cache = crate::CubeCache::new();
-        let cold = TestGenerator::new(&c, faults.clone(), options).run_with_cache(&mut cache);
-        assert_eq!(cache.hits(), 0, "first run has nothing to reuse");
-        let searched = cache.misses();
-        assert!(searched > 0);
+        for faults in [FaultList::mixed_model(&c), FaultList::transition(&c)] {
+            let options = AtpgOptions {
+                threads: 1,
+                ..AtpgOptions::default()
+            };
+            let mut cache = crate::CubeCache::new();
+            let cold = TestGenerator::new(&c, faults.clone(), options).run_with_cache(&mut cache);
+            assert_eq!(cache.hits(), 0, "first run has nothing to reuse");
+            let searched = cache.misses();
+            assert!(searched > 0);
 
-        let warm = TestGenerator::new(&c, faults.clone(), options).run_with_cache(&mut cache);
-        assert_eq!(cold.units, warm.units);
-        assert_eq!(cold.statuses, warm.statuses);
-        assert_eq!(cold.atpg_calls, warm.atpg_calls);
-        assert_eq!(cache.hits(), searched, "every repeat answered from memory");
+            let warm = TestGenerator::new(&c, faults.clone(), options).run_with_cache(&mut cache);
+            assert_eq!(cold.units, warm.units);
+            assert_eq!(cold.statuses, warm.statuses);
+            assert_eq!(cold.atpg_calls, warm.atpg_calls);
+            assert_eq!(cache.hits(), searched, "every repeat answered from memory");
 
-        // and the cache-free entry point agrees with both
-        let fresh = TestGenerator::new(&c, faults, options).run();
-        assert_eq!(fresh.units, cold.units);
+            // and the cache-free entry point agrees with both
+            let fresh = TestGenerator::new(&c, faults, options).run();
+            assert_eq!(fresh.units, cold.units);
+        }
     }
 
     #[test]
     fn fill_seed_is_positional_independent() {
         // drop the first fault from the universe: every surviving target
         // must generate exactly the same unit as in the full run, because
-        // seeds are keyed on fault identity, not list position
+        // seeds are keyed on fault identity, not list position. The
+        // transition case guards the positional seeding the former
+        // standalone delay flow used.
         let c17 = bist_netlist::iscas85::c17();
-        let faults = FaultList::stuck_at_collapsed(&c17);
         let options = AtpgOptions {
             no_compaction: true,
             threads: 1,
             ..AtpgOptions::default()
         };
-        let full = TestGenerator::new(&c17, faults.clone(), options).run();
-        let tail: FaultList = faults.iter().copied().skip(1).collect();
-        let shifted = TestGenerator::new(&c17, tail, options).run();
-        for unit in &shifted.units {
-            if let Some(counterpart) = full.units.iter().find(|u| u.target == unit.target) {
-                assert_eq!(
-                    counterpart.patterns,
-                    unit.patterns,
-                    "re-slicing the universe changed the unit for {}",
-                    unit.target.describe(&c17)
-                );
+        for faults in [
+            FaultList::stuck_at_collapsed(&c17),
+            FaultList::transition(&c17),
+        ] {
+            let full = TestGenerator::new(&c17, faults.clone(), options).run();
+            let tail: FaultList = faults.iter().copied().skip(1).collect();
+            let shifted = TestGenerator::new(&c17, tail, options).run();
+            let mut compared = 0;
+            for unit in &shifted.units {
+                if let Some(counterpart) = full.units.iter().find(|u| u.target == unit.target) {
+                    assert_eq!(
+                        counterpart.patterns,
+                        unit.patterns,
+                        "re-slicing the universe changed the unit for {}",
+                        unit.target.describe(&c17)
+                    );
+                    compared += 1;
+                }
             }
+            assert!(compared > 0, "no shared targets to compare");
         }
     }
 

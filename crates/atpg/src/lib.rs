@@ -13,9 +13,10 @@
 //! * [`justify`] — the same search machinery aimed at plain value
 //!   justification, used for the initialization half of two-pattern tests.
 //! * [`TestGenerator`] — the full flow: walk the fault universe, generate a
-//!   test (or pattern *pair* for stuck-open faults — initialization then
-//!   transition, kept adjacent and ordered, which is why the paper's
-//!   LFSROM preserves sequence order), fault-simulate for collateral drops,
+//!   test (or pattern *pair* for stuck-open and transition faults —
+//!   initialization then transition, kept adjacent and ordered, which is
+//!   why the paper's LFSROM preserves sequence order), fault-simulate for
+//!   collateral drops,
 //!   optionally compact by reverse-order simulation. Independent targets
 //!   are searched in speculative parallel batches (`AtpgOptions::threads`
 //!   / `BIST_THREADS`) and replayed in fault order, so the emitted

@@ -89,7 +89,8 @@ pub enum CollapseMode {
     #[default]
     InFlow,
     /// No [`CollapsedUniverse`] is built and the projection APIs are
-    /// unavailable — the exact historical session. Escape hatch:
+    /// unavailable — the exact historical session, and the mode of every
+    /// [`BistSession::with_faults`] session. Escape hatch:
     /// `BIST_COLLAPSE=off`.
     Off,
     /// Grade the **full** stuck-at universe (plus stuck-open) directly,
@@ -319,12 +320,10 @@ impl<'c> BistSession<'c> {
 
     /// Opens a session graded under an explicit [`CollapseMode`].
     /// Committed results are bit-identical in every mode.
-    #[allow(clippy::disallowed_types)] // constructs the vetted cache map
     pub fn with_mode(circuit: &'c Circuit, config: MixedSchemeConfig, mode: CollapseMode) -> Self {
         let (faults, graded, universe, collapsed_len) = match mode {
             CollapseMode::Off => {
-                let mixed = FaultList::mixed_model(circuit);
-                (mixed.clone(), mixed, None, 0)
+                return Self::with_faults(circuit, config, FaultList::mixed_model(circuit))
             }
             CollapseMode::InFlow => {
                 let universe = CollapsedUniverse::build(circuit);
@@ -356,6 +355,37 @@ impl<'c> BistSession<'c> {
                 (full.clone(), full, None, collapsed_len)
             }
         };
+        Self::assemble(
+            circuit,
+            config,
+            mode,
+            faults,
+            graded,
+            universe,
+            collapsed_len,
+        )
+    }
+
+    /// Opens a session grading exactly `faults`, with no collapsing
+    /// ([`CollapseMode::Off`]): every prefix grade, frontier, top-up and
+    /// report speaks this list. This is how other fault universes ride
+    /// the same flow — the transition-delay model is a session over
+    /// [`FaultList::transition`].
+    pub fn with_faults(circuit: &'c Circuit, config: MixedSchemeConfig, faults: FaultList) -> Self {
+        let graded = faults.clone();
+        Self::assemble(circuit, config, CollapseMode::Off, faults, graded, None, 0)
+    }
+
+    #[allow(clippy::disallowed_types)] // constructs the vetted cache map
+    fn assemble(
+        circuit: &'c Circuit,
+        config: MixedSchemeConfig,
+        mode: CollapseMode,
+        faults: FaultList,
+        graded: FaultList,
+        universe: Option<CollapsedUniverse>,
+        collapsed_len: usize,
+    ) -> Self {
         let committed_len = faults.len();
         let sim = FaultSim::new(circuit, graded.clone()).with_threads(config.threads);
         let expander = ScanExpander::new(Lfsr::fibonacci(config.poly, 1), circuit.inputs().len());
@@ -404,7 +434,7 @@ impl<'c> BistSession<'c> {
         &self.config
     }
 
-    /// The committed mixed fault universe: the list every report,
+    /// The committed fault universe: the list every report,
     /// frontier and cache key speaks, whatever the [`CollapseMode`].
     pub fn faults(&self) -> &FaultList {
         &self.faults

@@ -438,9 +438,18 @@ pub fn job_digest(circuit: &Circuit, spec: &JobSpec) -> String {
     let model = spec.fault_model();
     if !model.is_default() {
         feed(&mut h, "fault-model", model.name().as_bytes());
-        if let FaultModel::Bridging { pairs, seed } = model {
-            feed_u64(&mut h, "bridge-pairs", u64::from(pairs));
-            feed_u64(&mut h, "bridge-seed", seed);
+        match model {
+            FaultModel::Bridging { pairs, seed } => {
+                feed_u64(&mut h, "bridge-pairs", u64::from(pairs));
+                feed_u64(&mut h, "bridge-seed", seed);
+            }
+            // Transition results moved once the model's top-up joined
+            // the shared ATPG engine (identity-keyed fill seeds, top-up
+            // graded on its own); the revision retires the older entries
+            // without moving any stuck-at key, as bumping
+            // `CACHE_SCHEMA_VERSION` would.
+            FaultModel::Transition => feed_u64(&mut h, "transition-revision", 2),
+            FaultModel::StuckAt => {}
         }
     }
     h.finish_hex()
@@ -513,8 +522,20 @@ mod tests {
             job_digest(&c17(), &spec)
         };
         assert_eq!(baseline, with_model(FaultModel::StuckAt));
+        // pinned: stuck-at digests never move (the key of this sweep in
+        // every cache written since the fault model joined the spec)
+        assert_eq!(
+            baseline,
+            "d13b9f00181e777291b93cd0380aed740b034490e37d2e36b60b10ba1f9d2c70"
+        );
 
         let transition = with_model(FaultModel::Transition);
+        // the transition revision retires entries computed by the former
+        // standalone delay flow, whose points differ
+        assert_ne!(
+            transition,
+            "1ca0a037e0986fde2793ad1a87781e6c620c40aab7e6d7ab38df24107df083f0"
+        );
         let bridging = with_model(FaultModel::bridging());
         assert_ne!(baseline, transition);
         assert_ne!(baseline, bridging);

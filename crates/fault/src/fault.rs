@@ -8,6 +8,8 @@ use bist_netlist::{Circuit, NodeId};
 /// on a specific fan-out *branch* — fan-in pin `pin` of the gate `site`.
 /// Stuck-open faults are properties of a gate's CMOS transistor networks;
 /// see the [crate docs](crate) for their two-pattern detection semantics.
+/// Transition faults sit on lines like stuck-at faults, but need an
+/// ordered pattern pair like stuck-open faults.
 ///
 /// # Example
 ///
@@ -61,6 +63,18 @@ pub enum Fault {
         /// The affected gate.
         site: NodeId,
     },
+    /// Gate-level transition (gross-delay) fault: the line's transition
+    /// is so late that at capture it still shows its initial value. On
+    /// the stem of `site` when `pin` is `None`, or on the fan-out branch
+    /// feeding pin `pin` of gate `site`.
+    Transition {
+        /// Faulted node (gate, for branch faults).
+        site: NodeId,
+        /// Fan-in pin index for branch faults.
+        pin: Option<u8>,
+        /// Direction of the late transition.
+        transition: Transition,
+    },
 }
 
 impl Fault {
@@ -71,7 +85,8 @@ impl Fault {
             | Fault::OpenSeries { site }
             | Fault::OpenParallel { site, .. }
             | Fault::OpenRise { site }
-            | Fault::OpenFall { site } => site,
+            | Fault::OpenFall { site }
+            | Fault::Transition { site, .. } => site,
         }
     }
 
@@ -80,9 +95,20 @@ impl Fault {
         matches!(self, Fault::StuckAt { .. })
     }
 
-    /// True for the stuck-open (two-pattern) variants.
+    /// True for the stuck-open variants.
     pub fn is_stuck_open(&self) -> bool {
-        !self.is_stuck_at()
+        matches!(
+            self,
+            Fault::OpenSeries { .. }
+                | Fault::OpenParallel { .. }
+                | Fault::OpenRise { .. }
+                | Fault::OpenFall { .. }
+        )
+    }
+
+    /// True for the transition (delay) variant.
+    pub fn is_transition(&self) -> bool {
+        matches!(self, Fault::Transition { .. })
     }
 
     /// Human-readable description using the circuit's node names.
@@ -114,6 +140,19 @@ impl Fault {
             }
             Fault::OpenRise { site } => format!("{} open-rise", name(site)),
             Fault::OpenFall { site } => format!("{} open-fall", name(site)),
+            Fault::Transition {
+                site,
+                pin: None,
+                transition,
+            } => format!("{} {transition}", name(site)),
+            Fault::Transition {
+                site,
+                pin: Some(p),
+                transition,
+            } => {
+                let driver = circuit.node(site).fanin()[p as usize];
+                format!("{}->{} (pin {p}) {transition}", name(driver), name(site))
+            }
         }
     }
 }
@@ -135,7 +174,67 @@ impl fmt::Display for Fault {
             Fault::OpenParallel { site, pin } => write!(f, "{site}.{pin} op-p"),
             Fault::OpenRise { site } => write!(f, "{site} op-r"),
             Fault::OpenFall { site } => write!(f, "{site} op-f"),
+            Fault::Transition {
+                site,
+                pin: None,
+                transition,
+            } => write!(f, "{site} {}", transition.short_name()),
+            Fault::Transition {
+                site,
+                pin: Some(p),
+                transition,
+            } => write!(f, "{site}.{p} {}", transition.short_name()),
         }
+    }
+}
+
+/// The direction of a transition fault's late transition.
+///
+/// # Example
+///
+/// ```
+/// use bist_fault::{Fault, Transition};
+///
+/// let c17 = bist_netlist::iscas85::c17();
+/// let g10 = c17.find("G10").unwrap();
+/// let f = Fault::Transition { site: g10, pin: None, transition: Transition::SlowToRise };
+/// assert!(!Transition::SlowToRise.initial_value());
+/// assert_eq!(f.describe(&c17), "G10 slow-to-rise");
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum Transition {
+    /// The line rises too slowly: under the second pattern it still shows
+    /// the *initial* value `0`.
+    SlowToRise,
+    /// The line falls too slowly: under the second pattern it still shows
+    /// the *initial* value `1`.
+    SlowToFall,
+}
+
+impl Transition {
+    /// Both directions, for iteration.
+    pub const BOTH: [Transition; 2] = [Transition::SlowToRise, Transition::SlowToFall];
+
+    /// The value the line holds *before* the (late) transition — also the
+    /// value the faulty line erroneously retains under the second pattern.
+    pub fn initial_value(self) -> bool {
+        matches!(self, Transition::SlowToFall)
+    }
+
+    fn short_name(self) -> &'static str {
+        match self {
+            Transition::SlowToRise => "str",
+            Transition::SlowToFall => "stf",
+        }
+    }
+}
+
+impl fmt::Display for Transition {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Transition::SlowToRise => "slow-to-rise",
+            Transition::SlowToFall => "slow-to-fall",
+        })
     }
 }
 
@@ -211,5 +310,37 @@ mod tests {
         let g10 = c17.find("G10").unwrap();
         assert!(Fault::OpenSeries { site: g10 }.is_stuck_open());
         assert!(!Fault::OpenSeries { site: g10 }.is_stuck_at());
+        let delay = Fault::Transition {
+            site: g10,
+            pin: None,
+            transition: Transition::SlowToRise,
+        };
+        assert!(delay.is_transition());
+        assert!(!delay.is_stuck_open() && !delay.is_stuck_at());
+    }
+
+    #[test]
+    fn transition_value_conventions() {
+        assert!(!Transition::SlowToRise.initial_value());
+        assert!(Transition::SlowToFall.initial_value());
+    }
+
+    #[test]
+    fn describe_names_transition_stem_and_branch() {
+        let c17 = bist_netlist::iscas85::c17();
+        let g10 = c17.find("G10").unwrap();
+        let stem = Fault::Transition {
+            site: g10,
+            pin: None,
+            transition: Transition::SlowToFall,
+        };
+        assert_eq!(stem.describe(&c17), "G10 slow-to-fall");
+        let g16 = c17.find("G16").unwrap();
+        let branch = Fault::Transition {
+            site: g16,
+            pin: Some(1),
+            transition: Transition::SlowToRise,
+        };
+        assert_eq!(branch.describe(&c17), "G11->G16 (pin 1) slow-to-rise");
     }
 }

@@ -1,11 +1,12 @@
 //! Fault models for the LFSROM mixed-BIST reproduction.
 //!
 //! The paper grades test sequences against *gate-level stuck-at and
-//! stuck-open faults* (its §3.1/§3.2 fault model). This crate provides:
+//! stuck-open faults* (its §3.1/§3.2 fault model), and argues that the
+//! deterministic suffix is what carries delay faults. This crate provides:
 //!
-//! * [`Fault`] — single stuck-at faults on stems and fan-out branches, and
-//!   CMOS transistor-open (stuck-open) faults that need ordered two-pattern
-//!   tests,
+//! * [`Fault`] — single stuck-at faults on stems and fan-out branches,
+//!   CMOS transistor-open (stuck-open) faults, and gate-level transition
+//!   (delay) faults; the last two need ordered two-pattern tests,
 //! * [`FaultList`] — fault universe construction with classic equivalence
 //!   collapsing (fault folding through single-fan-out nets and
 //!   controlling-value equivalence inside AND/NAND/OR/NOR gates),
@@ -35,6 +36,18 @@
 //! * [`Fault::OpenRise`] / [`Fault::OpenFall`] — for inverters, buffers and
 //!   XOR-family complex gates: the output cannot rise / fall.
 //!
+//! # Transition semantics
+//!
+//! A [`Fault::Transition`] is the same retained-value behaviour placed on
+//! a *line* instead of inside a gate: the stem of a node, or one fan-out
+//! branch of it. Under consecutive-pattern application (launch on
+//! capture) pattern `t-1` must set the line's driver to the
+//! [`Transition`]'s initial value, pattern `t` must drive it to the final
+//! value, and the line's retained initial value must propagate to an
+//! output under pattern `t`. A slow-to-rise stem behaves exactly like an
+//! open-rise of the gate driving it. [`FaultList::transition`] builds the
+//! standard universe.
+//!
 //! # Example
 //!
 //! ```
@@ -55,5 +68,5 @@ mod fault;
 mod list;
 
 pub use collapse::{CollapseStats, CollapsedUniverse};
-pub use fault::{Fault, FaultStatus};
+pub use fault::{Fault, FaultStatus, Transition};
 pub use list::FaultList;

@@ -1,6 +1,6 @@
 use bist_netlist::{Circuit, GateKind, NodeId};
 
-use crate::fault::Fault;
+use crate::fault::{Fault, Transition};
 
 /// An ordered fault universe over one circuit.
 ///
@@ -155,6 +155,60 @@ impl FaultList {
         FaultList { faults }
     }
 
+    /// The transition-fault universe: both directions on every stem
+    /// (primary inputs and combinational gates; constants and flip-flops
+    /// carry no transitions), then both directions on every fan-out
+    /// branch whose driver stem has fan-out greater than one
+    /// (single-fan-out branches are the same line as their stem).
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use bist_fault::FaultList;
+    ///
+    /// let c17 = bist_netlist::iscas85::c17();
+    /// let faults = FaultList::transition(&c17);
+    /// // 11 stems in both directions, plus the fan-out branches
+    /// assert!(faults.len() > 22);
+    /// assert!(faults.iter().all(|f| f.is_transition()));
+    /// ```
+    pub fn transition(circuit: &Circuit) -> Self {
+        let mut faults = Vec::new();
+        for &id in circuit.topo_order() {
+            if matches!(
+                circuit.node(id).kind(),
+                GateKind::Const0 | GateKind::Const1 | GateKind::Dff
+            ) {
+                continue;
+            }
+            for transition in Transition::BOTH {
+                faults.push(Fault::Transition {
+                    site: id,
+                    pin: None,
+                    transition,
+                });
+            }
+        }
+        for &id in circuit.topo_order() {
+            let node = circuit.node(id);
+            if !node.kind().is_combinational() {
+                continue;
+            }
+            for (p, &driver) in node.fanin().iter().enumerate() {
+                if circuit.fanout(driver).len() > 1 {
+                    for transition in Transition::BOTH {
+                        faults.push(Fault::Transition {
+                            site: id,
+                            pin: Some(p as u8),
+                            transition,
+                        });
+                    }
+                }
+            }
+        }
+        FaultList { faults }
+    }
+
     /// The paper's fault model: collapsed stuck-at plus stuck-open.
     pub fn mixed_model(circuit: &Circuit) -> Self {
         let mut list = Self::stuck_at_collapsed(circuit);
@@ -276,6 +330,47 @@ mod tests {
         assert_eq!(m.len(), 22 + 18);
         assert_eq!(m.num_stuck_at(), 22);
         assert_eq!(m.num_stuck_open(), 18);
+    }
+
+    #[test]
+    fn transition_universe_counts_on_c17() {
+        let c17 = bist_netlist::iscas85::c17();
+        let faults = FaultList::transition(&c17);
+        assert!(faults.iter().all(Fault::is_transition));
+        // 11 stems (5 PIs + 6 NANDs), each both directions = 22 stem faults
+        let stems = faults
+            .iter()
+            .filter(|f| matches!(f, Fault::Transition { pin: None, .. }))
+            .count();
+        assert_eq!(stems, 22);
+        // every branch fault's driver must truly have fanout > 1
+        for f in faults.iter() {
+            if let Fault::Transition {
+                site, pin: Some(p), ..
+            } = *f
+            {
+                let driver = c17.node(site).fanin()[p as usize];
+                assert!(c17.fanout(driver).len() > 1);
+            }
+        }
+        // c17 has multi-fanout stems, so branch faults must exist
+        assert!(faults.len() > stems);
+    }
+
+    #[test]
+    fn constants_carry_no_transition_stem_faults() {
+        use bist_netlist::CircuitBuilder;
+        let mut b = CircuitBuilder::new("k");
+        b.add_input("a").unwrap();
+        b.add_gate("one", GateKind::Const1, &[]).unwrap();
+        b.add_gate("y", GateKind::And, &["a", "one"]).unwrap();
+        b.mark_output("y").unwrap();
+        let c = b.build().unwrap();
+        let one = c.find("one").unwrap();
+        let faults = FaultList::transition(&c);
+        assert!(faults
+            .iter()
+            .all(|f| !matches!(*f, Fault::Transition { site, pin: None, .. } if site == one)));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The paper's coverage ceiling cites \[Hwa93\] ("Effectiveness of stuck-at
 //! test set to detect bridging faults in Iddq environment") and its §3
 //! lists Iddq merging among BIST's advantages — but, like delay faults,
-//! bridging defects are argued about rather than measured. This crate
+//! bridging defects are argued about rather than measured. This module
 //! closes that gap:
 //!
 //! * [`BridgingFault`] / [`BridgingFaultList`] — non-feedback wired-AND /
@@ -22,7 +22,7 @@
 //! # Example
 //!
 //! ```
-//! use bist_bridging::{BridgingFaultList, BridgingSim};
+//! use bist_faultmodel::bridging::{BridgingFaultList, BridgingSim};
 //!
 //! let c17 = bist_netlist::iscas85::c17();
 //! let faults = BridgingFaultList::sample(&c17, 40, 7);
@@ -31,9 +31,6 @@
 //! // Iddq needs only excitation, so it always dominates voltage-sense
 //! assert!(sim.iddq_coverage_pct() >= sim.report().coverage_pct());
 //! ```
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 mod model;
 pub mod serial;

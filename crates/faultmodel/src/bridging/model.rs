@@ -86,7 +86,7 @@ impl BridgingFault {
 /// # Example
 ///
 /// ```
-/// use bist_bridging::BridgingFaultList;
+/// use bist_faultmodel::bridging::BridgingFaultList;
 ///
 /// let c17 = bist_netlist::iscas85::c17();
 /// let faults = BridgingFaultList::sample(&c17, 40, 7);

@@ -1,20 +1,20 @@
 //! Naive pattern-at-a-time reference bridging simulator.
 //!
 //! An independent, deliberately simple implementation of the same
-//! bridging semantics as the packed [`crate::BridgingSim`], used as the
-//! oracle in property tests: the faulty machine is evaluated node by node
-//! with plain booleans, one pattern at a time, with both shorted nodes
-//! overridden to the resolved value.
+//! bridging semantics as the packed [`BridgingSim`](super::BridgingSim),
+//! used as the oracle in property tests: the faulty machine is evaluated
+//! node by node with plain booleans, one pattern at a time, with both
+//! shorted nodes overridden to the resolved value.
 //!
 //! For a *non-feedback* pair the driven values of the two nodes are their
 //! good-machine values (neither node lies in the other's fan-out cone, so
 //! the short cannot influence its own drivers) — which is exactly the
-//! assumption [`crate::BridgingFaultList`] enforces.
+//! assumption [`BridgingFaultList`](super::BridgingFaultList) enforces.
 
 use bist_logicsim::{naive_eval, Pattern};
 use bist_netlist::{Circuit, GateKind};
 
-use crate::model::BridgingFault;
+use super::model::BridgingFault;
 
 /// True if `pattern` *excites* `fault`: the two shorted nodes carry
 /// opposite good-machine values (the Iddq detection criterion).
@@ -93,7 +93,7 @@ pub fn grade_sequence(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BridgingFaultList, BridgingSim};
+    use crate::bridging::{BridgingFaultList, BridgingSim};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -3,7 +3,7 @@ use bist_faultsim::{BlockCtx, CoverageReport, Seeds, SimCounters, WordFault, Wor
 use bist_logicsim::Pattern;
 use bist_netlist::Circuit;
 
-use crate::model::{BridgingFault, BridgingFaultList};
+use super::model::{BridgingFault, BridgingFaultList};
 
 /// Parallel-pattern bridging-fault simulator with fault dropping — the
 /// measurement side of the \[Hwa93\] question the paper leans on: *how much
@@ -27,7 +27,7 @@ use crate::model::{BridgingFault, BridgingFaultList};
 /// # Example
 ///
 /// ```
-/// use bist_bridging::{BridgingFaultList, BridgingSim};
+/// use bist_faultmodel::bridging::{BridgingFaultList, BridgingSim};
 /// use bist_logicsim::Pattern;
 ///
 /// let c17 = bist_netlist::iscas85::c17();
@@ -179,7 +179,7 @@ impl WordFault for BridgingFault {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::BridgeKind;
+    use crate::bridging::BridgeKind;
     use bist_netlist::{CircuitBuilder, GateKind};
 
     fn exhaustive(width: usize) -> Vec<Pattern> {

@@ -15,11 +15,18 @@
 //! * [`ModelSim`] — one word-parallel simulator for any model, all three
 //!   backed by the same [`WordSim`](bist_faultsim::WordSim) engine
 //!   (64-pattern blocks, levelized cone propagation, fault dropping,
-//!   bit-identical results at every `bist-par` width).
+//!   bit-identical results at every `bist-par` width). Stuck-at and
+//!   transition universes are both [`bist_fault::Fault`] lists graded by
+//!   [`bist_faultsim::FaultSim`].
 //! * [`serial_grade`] — the naive pattern-at-a-time oracles, for
 //!   property-testing the packed engines per model.
 //! * [`ModelSession`] — the mixed-scheme solve/sweep/curve flow over any
-//!   model, delegating to [`bist_core::BistSession`] for the default one.
+//!   model. Stuck-at and transition are both a [`bist_core::BistSession`]
+//!   (transition over [`bist_fault::FaultList::transition`], so its
+//!   two-pattern top-up comes from the one ATPG engine); bridging grades
+//!   shorts against the stuck-at hardware.
+//! * [`bridging`] — the bridging (short) fault model: universe sampling,
+//!   its packed simulator and its serial oracle.
 //! * [`estimate_coverage`] — seed-pinned stratified sampling of the
 //!   stuck-at universe with a Wilson confidence interval: the cheap
 //!   first answer a service returns before the exact run finishes.
@@ -41,6 +48,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod bridging;
 mod estimate;
 mod model;
 mod session;

@@ -1,12 +1,12 @@
 use std::fmt;
 use std::str::FromStr;
 
-use bist_bridging::{BridgingFaultList, BridgingSim};
-use bist_delay::{TransitionFaultList, TransitionSim};
 use bist_fault::{FaultList, FaultStatus};
 use bist_faultsim::{CoverageReport, FaultSim, SimCounters};
 use bist_logicsim::Pattern;
 use bist_netlist::Circuit;
+
+use crate::bridging::{BridgingFaultList, BridgingSim};
 
 /// Default number of sampled bridge sites when the CLI / spec says just
 /// "bridging" without parameters.
@@ -92,7 +92,7 @@ impl FaultModel {
     pub fn universe_len(&self, circuit: &Circuit) -> usize {
         match *self {
             FaultModel::StuckAt => FaultList::mixed_model(circuit).len(),
-            FaultModel::Transition => TransitionFaultList::universe(circuit).len(),
+            FaultModel::Transition => FaultList::transition(circuit).len(),
             FaultModel::Bridging { pairs, seed } => {
                 BridgingFaultList::sample(circuit, pairs as usize, seed).len()
             }
@@ -165,9 +165,10 @@ impl FromStr for FaultModel {
 }
 
 /// One fault simulator for any [`FaultModel`]: the dispatch face over
-/// [`FaultSim`] (stuck-at/stuck-open), [`TransitionSim`] and
-/// [`BridgingSim`], which all run on the same allocation-free
-/// [`WordSim`](bist_faultsim::WordSim) engine underneath.
+/// [`FaultSim`] (stuck-at/stuck-open and transition universes, all
+/// [`bist_fault::Fault`] lists) and [`BridgingSim`], which both run on
+/// the same allocation-free [`WordSim`](bist_faultsim::WordSim) engine
+/// underneath.
 ///
 /// All shared semantics come with the engine: 64-pattern word blocks,
 /// levelized cone propagation, fault dropping, first-detection indices,
@@ -185,10 +186,9 @@ impl FromStr for FaultModel {
 /// ```
 #[derive(Debug)]
 pub enum ModelSim<'c> {
-    /// Stuck-at / stuck-open grading.
-    StuckAt(FaultSim<'c>),
-    /// Transition-delay grading over consecutive pattern pairs.
-    Transition(TransitionSim<'c>),
+    /// Grading of a [`bist_fault::Fault`] universe: stuck-at/stuck-open,
+    /// or transition-delay over consecutive pattern pairs.
+    Fault(FaultSim<'c>),
     /// Bridging grading (voltage-sense, with Iddq excitation tracked).
     Bridging(BridgingSim<'c>),
 }
@@ -199,12 +199,11 @@ impl<'c> ModelSim<'c> {
     pub fn new(circuit: &'c Circuit, model: FaultModel) -> Self {
         match model {
             FaultModel::StuckAt => {
-                ModelSim::StuckAt(FaultSim::new(circuit, FaultList::mixed_model(circuit)))
+                ModelSim::Fault(FaultSim::new(circuit, FaultList::mixed_model(circuit)))
             }
-            FaultModel::Transition => ModelSim::Transition(TransitionSim::new(
-                circuit,
-                TransitionFaultList::universe(circuit),
-            )),
+            FaultModel::Transition => {
+                ModelSim::Fault(FaultSim::new(circuit, FaultList::transition(circuit)))
+            }
             FaultModel::Bridging { pairs, seed } => ModelSim::Bridging(BridgingSim::new(
                 circuit,
                 BridgingFaultList::sample(circuit, pairs as usize, seed),
@@ -212,23 +211,11 @@ impl<'c> ModelSim<'c> {
         }
     }
 
-    /// The model this simulator grades. Bridging parameters are not
-    /// recoverable from the universe, so this reports the bare variant
-    /// with the universe's actual size.
-    pub fn model_name(&self) -> &'static str {
-        match self {
-            ModelSim::StuckAt(_) => "stuck-at",
-            ModelSim::Transition(_) => "transition",
-            ModelSim::Bridging(_) => "bridging",
-        }
-    }
-
     /// Sets the pool width for subsequent grading (`0` = automatic).
     /// Results never depend on this knob.
     pub fn set_threads(&mut self, threads: usize) {
         match self {
-            ModelSim::StuckAt(s) => s.set_threads(threads),
-            ModelSim::Transition(s) => s.set_threads(threads),
+            ModelSim::Fault(s) => s.set_threads(threads),
             ModelSim::Bridging(s) => s.set_threads(threads),
         }
     }
@@ -247,8 +234,7 @@ impl<'c> ModelSim<'c> {
     /// Status of every fault, in universe order.
     pub fn statuses(&self) -> &[FaultStatus] {
         match self {
-            ModelSim::StuckAt(s) => s.statuses(),
-            ModelSim::Transition(s) => s.statuses(),
+            ModelSim::Fault(s) => s.statuses(),
             ModelSim::Bridging(s) => s.statuses(),
         }
     }
@@ -256,8 +242,7 @@ impl<'c> ModelSim<'c> {
     /// Status of fault `index`.
     pub fn status_of(&self, index: usize) -> FaultStatus {
         match self {
-            ModelSim::StuckAt(s) => s.status_of(index),
-            ModelSim::Transition(s) => s.status_of(index),
+            ModelSim::Fault(s) => s.status_of(index),
             ModelSim::Bridging(s) => s.status_of(index),
         }
     }
@@ -265,8 +250,7 @@ impl<'c> ModelSim<'c> {
     /// Global index of the first pattern that detected fault `index`.
     pub fn first_detection(&self, index: usize) -> Option<u32> {
         match self {
-            ModelSim::StuckAt(s) => s.first_detection(index),
-            ModelSim::Transition(s) => s.first_detection(index),
+            ModelSim::Fault(s) => s.first_detection(index),
             ModelSim::Bridging(s) => s.first_detection(index),
         }
     }
@@ -274,8 +258,7 @@ impl<'c> ModelSim<'c> {
     /// Human-readable description of fault `index`.
     pub fn describe(&self, index: usize, circuit: &Circuit) -> Option<String> {
         match self {
-            ModelSim::StuckAt(s) => s.faults().get(index).map(|f| f.describe(circuit)),
-            ModelSim::Transition(s) => s.faults().get(index).map(|f| f.describe(circuit)),
+            ModelSim::Fault(s) => s.faults().get(index).map(|f| f.describe(circuit)),
             ModelSim::Bridging(s) => s.faults().get(index).map(|f| f.describe(circuit)),
         }
     }
@@ -283,8 +266,7 @@ impl<'c> ModelSim<'c> {
     /// Number of patterns consumed so far.
     pub fn patterns_seen(&self) -> u32 {
         match self {
-            ModelSim::StuckAt(s) => s.patterns_seen(),
-            ModelSim::Transition(s) => s.patterns_seen(),
+            ModelSim::Fault(s) => s.patterns_seen(),
             ModelSim::Bridging(s) => s.patterns_seen(),
         }
     }
@@ -292,8 +274,7 @@ impl<'c> ModelSim<'c> {
     /// The engine work counters. Deterministic at every thread width.
     pub fn counters(&self) -> SimCounters {
         match self {
-            ModelSim::StuckAt(s) => s.counters(),
-            ModelSim::Transition(s) => s.counters(),
+            ModelSim::Fault(s) => s.counters(),
             ModelSim::Bridging(s) => s.counters(),
         }
     }
@@ -303,7 +284,7 @@ impl<'c> ModelSim<'c> {
     pub fn iddq_coverage_pct(&self) -> Option<f64> {
         match self {
             ModelSim::Bridging(s) => Some(s.iddq_coverage_pct()),
-            _ => None,
+            ModelSim::Fault(_) => None,
         }
     }
 
@@ -312,8 +293,7 @@ impl<'c> ModelSim<'c> {
     /// Returns the number of newly detected faults.
     pub fn simulate(&mut self, patterns: &[Pattern]) -> usize {
         match self {
-            ModelSim::StuckAt(s) => s.simulate(patterns),
-            ModelSim::Transition(s) => s.simulate(patterns),
+            ModelSim::Fault(s) => s.simulate(patterns),
             ModelSim::Bridging(s) => s.simulate(patterns),
         }
     }
@@ -321,8 +301,7 @@ impl<'c> ModelSim<'c> {
     /// Forgets all grading results and the sequence position.
     pub fn reset(&mut self) {
         match self {
-            ModelSim::StuckAt(s) => s.reset(),
-            ModelSim::Transition(s) => s.reset(),
+            ModelSim::Fault(s) => s.reset(),
             ModelSim::Bridging(s) => s.reset(),
         }
     }
@@ -330,8 +309,7 @@ impl<'c> ModelSim<'c> {
     /// Coverage summary over the universe.
     pub fn report(&self) -> CoverageReport {
         match self {
-            ModelSim::StuckAt(s) => s.report(),
-            ModelSim::Transition(s) => s.report(),
+            ModelSim::Fault(s) => s.report(),
             ModelSim::Bridging(s) => s.report(),
         }
     }
@@ -356,29 +334,14 @@ pub fn serial_grade(
             FaultList::mixed_model(circuit).faults(),
             patterns,
         ),
-        FaultModel::Transition => {
-            let universe = TransitionFaultList::universe(circuit);
-            universe
-                .iter()
-                .map(|&fault| {
-                    // pattern 0 has no predecessor: nothing can launch, so
-                    // grading starts at the pair (0, 1)
-                    (1..patterns.len())
-                        .find(|&t| {
-                            bist_delay::serial::detects(
-                                circuit,
-                                fault,
-                                &patterns[t - 1],
-                                &patterns[t],
-                            )
-                        })
-                        .map(|t| t as u32)
-                })
-                .collect()
-        }
+        FaultModel::Transition => bist_faultsim::serial::grade_sequence(
+            circuit,
+            FaultList::transition(circuit).faults(),
+            patterns,
+        ),
         FaultModel::Bridging { pairs, seed } => {
             let universe = BridgingFaultList::sample(circuit, pairs as usize, seed);
-            bist_bridging::serial::grade_sequence(circuit, universe.faults(), patterns)
+            crate::bridging::serial::grade_sequence(circuit, universe.faults(), patterns)
         }
     }
 }
@@ -445,7 +408,7 @@ mod tests {
         via.simulate(&patterns);
         assert_eq!(via.statuses(), stuck.statuses());
 
-        let mut transition = TransitionSim::new(&c17, TransitionFaultList::universe(&c17));
+        let mut transition = FaultSim::new(&c17, FaultList::transition(&c17));
         transition.simulate(&patterns);
         let mut via = ModelSim::new(&c17, FaultModel::Transition);
         via.simulate(&patterns);

@@ -1,20 +1,17 @@
 //! The mixed-scheme flow generalized over [`FaultModel`].
 
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
-use bist_bridging::{BridgingFaultList, BridgingSim};
 use bist_core::{
-    BistSession, CollapseMode, MixedGenerator, MixedSchemeConfig, MixedSchemeError, MixedSolution,
-    SessionStats, SweepSummary,
+    BistSession, CollapseMode, MixedSchemeConfig, MixedSchemeError, MixedSolution, SessionStats,
+    SweepSummary,
 };
-use bist_delay::{
-    DelayAtpgOptions, DelayRun, DelayTestGenerator, TransitionFaultList, TransitionSim,
-};
+use bist_fault::FaultList;
 use bist_faultsim::{CoverageCurve, CoverageReport};
 use bist_lfsr::{Lfsr, ScanExpander};
 use bist_netlist::Circuit;
 
+use crate::bridging::{BridgingFaultList, BridgingSim};
 use crate::model::FaultModel;
 
 /// The incremental mixed-BIST flow for one circuit under test and one
@@ -27,10 +24,12 @@ use crate::model::FaultModel;
 ///   ([`CollapseMode::InFlow`]) and projects back at every report
 ///   boundary, so the delegation stays byte-identical *and* cheaper;
 ///   [`ModelSession::with_collapse_mode`] pins the mode explicitly.
-/// * [`FaultModel::Transition`] runs the same solve shape on the
-///   transition universe: incremental pair-wise prefix grading, then the
-///   two-pattern deterministic ATPG ([`DelayTestGenerator`]) as the
-///   top-up, then [`MixedGenerator`] synthesis over the emitted pairs.
+/// * [`FaultModel::Transition`] is the same [`BistSession`] over
+///   [`FaultList::transition`] ([`BistSession::with_faults`], no
+///   collapsing): incremental pair-wise prefix grading, the two-pattern
+///   top-up from the one ATPG engine (batched, with the frontier-keyed
+///   top-up cache and per-fault cube cache), then generator synthesis
+///   over the emitted pairs.
 /// * [`FaultModel::Bridging`] is the \[Hwa93\] measurement: the hardware
 ///   generator is the **stuck-at** solution's (shorts are not ATPG
 ///   targets in this flow), and the bridge universe is graded against
@@ -39,7 +38,7 @@ use crate::model::FaultModel;
 ///   stuck-at-derived BIST sequence detect?".
 ///
 /// Prefix requests advance one shared simulator monotonically; a request
-/// below the front re-grades from scratch and is counted in
+/// below the front is graded on a fallback simulator and counted in
 /// [`SessionStats::patterns_resimulated`].
 ///
 /// # Example
@@ -63,8 +62,9 @@ pub struct ModelSession<'c> {
 
 #[derive(Debug)]
 enum Inner<'c> {
-    StuckAt(Box<BistSession<'c>>),
-    Transition(Box<TransitionSession<'c>>),
+    /// Stuck-at and transition: one [`BistSession`] over the model's
+    /// [`bist_fault::Fault`] universe.
+    Session(Box<BistSession<'c>>),
     Bridging(Box<BridgingSession<'c>>),
 }
 
@@ -89,11 +89,13 @@ impl<'c> ModelSession<'c> {
     ) -> Self {
         let inner = match model {
             FaultModel::StuckAt => {
-                Inner::StuckAt(Box::new(BistSession::with_mode(circuit, config, mode)))
+                Inner::Session(Box::new(BistSession::with_mode(circuit, config, mode)))
             }
-            FaultModel::Transition => {
-                Inner::Transition(Box::new(TransitionSession::new(circuit, config)))
-            }
+            FaultModel::Transition => Inner::Session(Box::new(BistSession::with_faults(
+                circuit,
+                config,
+                FaultList::transition(circuit),
+            ))),
             FaultModel::Bridging { pairs, seed } => Inner::Bridging(Box::new(
                 BridgingSession::new(circuit, config, pairs, seed, mode),
             )),
@@ -105,8 +107,8 @@ impl<'c> ModelSession<'c> {
     /// one is ([`FaultModel::StuckAt`] in [`CollapseMode::InFlow`]).
     pub fn collapse(&self) -> Option<&bist_fault::CollapsedUniverse> {
         match &self.inner {
-            Inner::StuckAt(s) => s.collapse(),
-            _ => None,
+            Inner::Session(s) => s.collapse(),
+            Inner::Bridging(_) => None,
         }
     }
 
@@ -118,8 +120,7 @@ impl<'c> ModelSession<'c> {
     /// The circuit under test.
     pub fn circuit(&self) -> &'c Circuit {
         match &self.inner {
-            Inner::StuckAt(s) => s.circuit(),
-            Inner::Transition(s) => s.circuit,
+            Inner::Session(s) => s.circuit(),
             Inner::Bridging(s) => s.circuit,
         }
     }
@@ -127,8 +128,7 @@ impl<'c> ModelSession<'c> {
     /// Size of the fault universe the session grades against.
     pub fn universe_len(&self) -> usize {
         match &self.inner {
-            Inner::StuckAt(s) => s.faults().len(),
-            Inner::Transition(s) => s.universe.len(),
+            Inner::Session(s) => s.faults().len(),
             Inner::Bridging(s) => s.universe.len(),
         }
     }
@@ -137,8 +137,7 @@ impl<'c> ModelSession<'c> {
     /// stuck-at session's counters with the bridge-grading ones.
     pub fn stats(&self) -> SessionStats {
         match &self.inner {
-            Inner::StuckAt(s) => s.stats(),
-            Inner::Transition(s) => s.stats,
+            Inner::Session(s) => s.stats(),
             Inner::Bridging(s) => s.stats(),
         }
     }
@@ -146,14 +145,32 @@ impl<'c> ModelSession<'c> {
     /// Solves the mixed scheme for prefix length `p` against the model's
     /// universe.
     ///
+    /// # Example
+    ///
+    /// The paper's §3.1 claim, measured on delay faults: the deterministic
+    /// top-up after a short pseudo-random prefix covers every transition
+    /// fault the prefix missed.
+    ///
+    /// ```
+    /// use bist_core::MixedSchemeConfig;
+    /// use bist_faultmodel::{FaultModel, ModelSession};
+    ///
+    /// let c17 = bist_netlist::iscas85::c17();
+    /// let mut session =
+    ///     ModelSession::new(&c17, MixedSchemeConfig::default(), FaultModel::Transition);
+    /// let solution = session.solve_at(5)?;
+    /// assert!(solution.prefix_coverage.detected < solution.coverage.total());
+    /// assert_eq!(solution.coverage.undetected, 0);
+    /// # Ok::<(), bist_core::MixedSchemeError>(())
+    /// ```
+    ///
     /// # Errors
     ///
     /// Returns [`MixedSchemeError`] when the hardware generator cannot be
     /// built.
     pub fn solve_at(&mut self, p: usize) -> Result<MixedSolution, MixedSchemeError> {
         match &mut self.inner {
-            Inner::StuckAt(s) => s.solve_at(p),
-            Inner::Transition(s) => s.solve_at(p),
+            Inner::Session(s) => s.solve_at(p),
             Inner::Bridging(s) => s.solve_at(p),
         }
     }
@@ -166,7 +183,7 @@ impl<'c> ModelSession<'c> {
     ///
     /// Propagates the first [`MixedSchemeError`] encountered.
     pub fn sweep(&mut self, prefix_lengths: &[usize]) -> Result<SweepSummary, MixedSchemeError> {
-        if let Inner::StuckAt(s) = &mut self.inner {
+        if let Inner::Session(s) = &mut self.inner {
             return s.sweep(prefix_lengths);
         }
         let mut ascending: Vec<usize> = prefix_lengths.to_vec();
@@ -190,25 +207,19 @@ impl<'c> ModelSession<'c> {
     /// over the model's universe (the paper's Figure 4, per model).
     pub fn random_coverage_curve(&mut self, checkpoints: &[usize]) -> CoverageCurve {
         match &mut self.inner {
-            Inner::StuckAt(s) => s.random_coverage_curve(checkpoints),
-            Inner::Transition(s) => curve(checkpoints, |cp| s.statuses_at(cp)),
-            Inner::Bridging(s) => curve(checkpoints, |cp| s.statuses_at(cp)),
+            Inner::Session(s) => s.random_coverage_curve(checkpoints),
+            Inner::Bridging(s) => {
+                let points = checkpoints
+                    .iter()
+                    .map(|&cp| {
+                        let statuses = s.statuses_at(cp);
+                        (cp, CoverageReport::from_statuses(&statuses).coverage_pct())
+                    })
+                    .collect();
+                CoverageCurve::new(points)
+            }
         }
     }
-}
-
-fn curve(
-    checkpoints: &[usize],
-    mut statuses_at: impl FnMut(usize) -> Vec<bist_fault::FaultStatus>,
-) -> CoverageCurve {
-    let points = checkpoints
-        .iter()
-        .map(|&cp| {
-            let statuses = statuses_at(cp);
-            (cp, CoverageReport::from_statuses(&statuses).coverage_pct())
-        })
-        .collect();
-    CoverageCurve::new(points)
 }
 
 /// The scheme's pseudo-random stream — identical to the one
@@ -216,103 +227,6 @@ fn curve(
 /// grades a sample of the universe against the very same stream).
 pub(crate) fn stream(config: &MixedSchemeConfig, circuit: &Circuit) -> ScanExpander {
     ScanExpander::new(Lfsr::fibonacci(config.poly, 1), circuit.inputs().len())
-}
-
-/// Transition-model flow: incremental pair-wise prefix grading plus the
-/// two-pattern deterministic top-up, cached per prefix length.
-#[derive(Debug)]
-struct TransitionSession<'c> {
-    circuit: &'c Circuit,
-    config: MixedSchemeConfig,
-    universe: TransitionFaultList,
-    sim: TransitionSim<'c>,
-    expander: ScanExpander,
-    simulated: usize,
-    /// Deterministic top-ups keyed by prefix length: a delay top-up pairs
-    /// its first vector with the *last prefix pattern*, so — unlike the
-    /// stuck-at flow — equal open frontiers at different `p` may still
-    /// need different sequences.
-    runs: BTreeMap<usize, Rc<DelayRun>>,
-    stats: SessionStats,
-}
-
-impl<'c> TransitionSession<'c> {
-    fn new(circuit: &'c Circuit, config: MixedSchemeConfig) -> Self {
-        let universe = TransitionFaultList::universe(circuit);
-        let sim = TransitionSim::new(circuit, universe.clone()).with_threads(config.threads);
-        let expander = stream(&config, circuit);
-        TransitionSession {
-            circuit,
-            config,
-            universe,
-            sim,
-            expander,
-            simulated: 0,
-            runs: BTreeMap::new(),
-            stats: SessionStats::default(),
-        }
-    }
-
-    fn statuses_at(&mut self, p: usize) -> Vec<bist_fault::FaultStatus> {
-        if p >= self.simulated {
-            let chunk = self.expander.patterns(p - self.simulated);
-            self.sim.simulate(&chunk);
-            self.stats.patterns_simulated += chunk.len();
-            self.simulated = p;
-            self.sim.statuses().to_vec()
-        } else {
-            // below the incremental front: re-grade from scratch without
-            // disturbing the shared simulator
-            let mut sim = TransitionSim::new(self.circuit, self.universe.clone())
-                .with_threads(self.config.threads);
-            let prefix = stream(&self.config, self.circuit).patterns(p);
-            sim.simulate(&prefix);
-            self.stats.patterns_resimulated += p;
-            sim.statuses().to_vec()
-        }
-    }
-
-    fn run_for(&mut self, p: usize) -> Rc<DelayRun> {
-        if let Some(hit) = self.runs.get(&p) {
-            self.stats.atpg_cache_hits += 1;
-            return Rc::clone(hit);
-        }
-        let prefix = stream(&self.config, self.circuit).patterns(p);
-        let run = Rc::new(
-            DelayTestGenerator::new(
-                self.circuit,
-                self.universe.clone(),
-                DelayAtpgOptions {
-                    podem: self.config.atpg.podem,
-                    no_compaction: self.config.atpg.no_compaction,
-                    prefix,
-                },
-            )
-            .run(),
-        );
-        self.stats.atpg_runs += 1;
-        self.runs.insert(p, Rc::clone(&run));
-        run
-    }
-
-    fn solve_at(&mut self, p: usize) -> Result<MixedSolution, MixedSchemeError> {
-        let statuses = self.statuses_at(p);
-        let prefix_coverage = CoverageReport::from_statuses(&statuses);
-        let run = self.run_for(p);
-        let det = run.sequence();
-        let generator =
-            MixedGenerator::build(self.circuit.inputs().len(), self.config.poly, p, &det)?;
-        debug_assert!(generator.verify(), "mixed generator failed replay");
-        Ok(MixedSolution {
-            prefix_len: p,
-            det_len: det.len(),
-            coverage: run.report,
-            prefix_coverage,
-            generator_area_mm2: generator.area_mm2(&self.config.area),
-            chip_area_mm2: self.config.area.circuit_area_mm2(self.circuit),
-            generator,
-        })
-    }
 }
 
 /// Bridging-model flow: the hardware is the stuck-at solution's; the
@@ -442,9 +356,27 @@ mod tests {
             assert_eq!(s.coverage.undetected, 0, "p={p}: c17 is fully testable");
         }
         assert_eq!(session.stats().atpg_runs, 2);
-        // same point again: answered from the per-prefix run cache
+        // same point again: answered from the frontier-keyed top-up cache
         session.solve_at(16).expect("solve succeeds");
         assert_eq!(session.stats().atpg_cache_hits, 1);
+    }
+
+    #[test]
+    fn transition_prefix_shrinks_the_deterministic_set() {
+        let c = bist_netlist::iscas85::circuit("c432").expect("known benchmark");
+        let mut session =
+            ModelSession::new(&c, MixedSchemeConfig::default(), FaultModel::Transition);
+        let bare = session.solve_at(0).expect("solve succeeds");
+        let topped = session.solve_at(256).expect("solve succeeds");
+        assert!(topped.prefix_coverage.detected > 0);
+        assert!(
+            topped.det_len < bare.det_len,
+            "prefix {} vs bare {}",
+            topped.det_len,
+            bare.det_len
+        );
+        // the mixed run reaches at least the deterministic-only coverage
+        assert!(topped.coverage.coverage_pct() >= bare.coverage.coverage_pct() - 1e-9);
     }
 
     #[test]

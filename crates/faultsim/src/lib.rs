@@ -10,15 +10,16 @@
 //! deterministic fault-order merge, so grading results are bit-identical
 //! at every thread count.
 //!
-//! Both fault classes of the paper's model are graded:
+//! Every [`bist_fault::Fault`] class is graded:
 //!
 //! * **stuck-at** — classic single-pattern detection;
-//! * **stuck-open** — two-pattern detection over *consecutive* patterns of
-//!   the sequence (see [`bist_fault`] for the transistor-level semantics).
-//!   The simulator tracks the previous pattern across block and call
-//!   boundaries, so a sequence graded in chunks behaves identically to one
-//!   graded in a single call. Initialization uses good-machine values
-//!   (single-fault, non-robust two-pattern semantics).
+//! * **stuck-open** and **transition** — two-pattern detection over
+//!   *consecutive* patterns of the sequence (see [`bist_fault`] for the
+//!   transistor- and line-level semantics). The simulator tracks the
+//!   previous pattern across block and call boundaries, so a sequence
+//!   graded in chunks behaves identically to one graded in a single call.
+//!   Initialization uses good-machine values (single-fault, non-robust
+//!   two-pattern semantics).
 //!
 //! The crate also contains [`serial`] — a deliberately naive
 //! pattern-at-a-time reference simulator used as the oracle in property

@@ -5,7 +5,8 @@ use bist_netlist::{Circuit, NodeId};
 use crate::wordsim::{BlockCtx, Seeds, SimCounters, WordFault, WordSim};
 
 /// Parallel-pattern single-fault-propagation simulator with fault dropping
-/// for the paper's stuck-at + stuck-open universe.
+/// for any [`Fault`] universe: the paper's stuck-at + stuck-open one, or
+/// the transition-delay one.
 ///
 /// Create one per (circuit, fault list) pair, feed it patterns with
 /// [`FaultSim::simulate`] — in one call or incrementally; the engine keeps
@@ -14,13 +15,26 @@ use crate::wordsim::{BlockCtx, Seeds, SimCounters, WordFault, WordSim};
 /// [`FaultSim::report`], [`FaultSim::status_of`] and
 /// [`FaultSim::first_detection`].
 ///
-/// This is the stuck-at/stuck-open instantiation of the model-generic
+/// This is the [`Fault`] instantiation of the model-generic
 /// [`WordSim`] engine: the [`Fault`] model contributes only the faulty
 /// seed words (see the [`WordFault`] impl below); everything else —
 /// flattened-graph good machine, allocation-free levelized cone
 /// propagation, live-list fault dropping, `bist-par` sharding with
 /// fault-order merge (**bit-identical at every thread count**), carry
 /// checkpoints — lives in the shared engine.
+///
+/// # Example
+///
+/// ```
+/// use bist_fault::FaultList;
+/// use bist_faultsim::FaultSim;
+/// use bist_logicsim::Pattern;
+///
+/// let c17 = bist_netlist::iscas85::c17();
+/// let mut sim = FaultSim::new(&c17, FaultList::transition(&c17));
+/// // one pattern alone launches no transition
+/// assert_eq!(sim.simulate(&[Pattern::zeros(5)]), 0);
+/// ```
 #[derive(Debug)]
 pub struct FaultSim<'c> {
     /// The universe, kept in list form for [`FaultSim::faults`] /
@@ -132,9 +146,9 @@ impl<'c> FaultSim<'c> {
     }
 
     /// The good-machine node values after the last consumed pattern — the
-    /// stuck-open carry. Together with [`FaultSim::statuses`] and
-    /// [`FaultSim::patterns_seen`] this is a complete mid-sequence
-    /// checkpoint for [`FaultSim::resume`].
+    /// two-pattern (stuck-open and transition) carry. Together with
+    /// [`FaultSim::statuses`] and [`FaultSim::patterns_seen`] this is a
+    /// complete mid-sequence checkpoint for [`FaultSim::resume`].
     pub fn carry_bits(&self) -> &[bool] {
         self.inner.carry_bits()
     }
@@ -235,15 +249,16 @@ impl WordFault for Fault {
                 memory_seed(ctx, site, excite)
             }
             Fault::OpenRise { site } => {
-                let g = ctx.good[site.index()];
-                let excite = g & !ctx.prev[site.index()];
-                memory_seed(ctx, site, excite)
+                memory_seed(ctx, site, launch_mask(ctx, site.index(), false))
             }
             Fault::OpenFall { site } => {
-                let g = ctx.good[site.index()];
-                let excite = !g & ctx.prev[site.index()];
-                memory_seed(ctx, site, excite)
+                memory_seed(ctx, site, launch_mask(ctx, site.index(), true))
             }
+            Fault::Transition {
+                site,
+                pin,
+                transition,
+            } => transition_seed(ctx, site, pin, transition.initial_value()),
         };
         match seed {
             Some((site, value)) => Seeds::one(site.index() as u32, value),
@@ -259,6 +274,48 @@ fn memory_seed(ctx: &BlockCtx<'_>, site: NodeId, excite: u64) -> Option<(NodeId,
     let fv = (g & !excite) | (ctx.prev[site.index()] & excite);
     let diff = (fv ^ g) & ctx.valid;
     (diff != 0).then_some((site, fv))
+}
+
+/// Faulty value of a transition fault: where the line's driver launched,
+/// the late line still shows its previous (initial) value — on the stem
+/// itself, or, for a branch, on pin `pin` of gate `site` only.
+fn transition_seed(
+    ctx: &BlockCtx<'_>,
+    site: NodeId,
+    pin: Option<u8>,
+    initial: bool,
+) -> Option<(NodeId, u64)> {
+    let g = ctx.graph;
+    let Some(p) = pin else {
+        // a late stem retains its old value exactly like an open-rise /
+        // open-fall output
+        return memory_seed(ctx, site, launch_mask(ctx, site.index(), initial));
+    };
+    let driver = g.fanin(site.index())[p as usize] as usize;
+    let excite = launch_mask(ctx, driver, initial);
+    let fv = g
+        .kind(site.index())
+        .eval_word_iter(g.fanin(site.index()).iter().enumerate().map(|(k, &f)| {
+            let good = ctx.good[f as usize];
+            if k == p as usize {
+                (good & !excite) | (ctx.prev[f as usize] & excite)
+            } else {
+                good
+            }
+        }));
+    let diff = (fv ^ ctx.good[site.index()]) & ctx.valid;
+    (diff != 0).then_some((site, fv))
+}
+
+/// Mask of patterns where `line` launches a transition away from
+/// `initial`: it held `initial` at `t-1` and the final value at `t`.
+fn launch_mask(ctx: &BlockCtx<'_>, line: usize, initial: bool) -> u64 {
+    let (now, before) = (ctx.good[line], ctx.prev[line]);
+    if initial {
+        before & !now
+    } else {
+        !before & now
+    }
 }
 
 /// Mask of patterns where *all* inputs of `site` hold the
@@ -309,7 +366,7 @@ fn parallel_excitation(ctx: &BlockCtx<'_>, site: NodeId, p: u8) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bist_fault::FaultList;
+    use bist_fault::{FaultList, Transition};
     use bist_netlist::GateKind;
 
     fn exhaustive_patterns(width: usize) -> Vec<Pattern> {
@@ -465,10 +522,10 @@ mod tests {
         assert_eq!(mono.statuses(), par.statuses());
     }
 
-    #[test]
-    fn resume_from_carry_checkpoint_matches_straight_run() {
+    /// Grades 200 random c432 patterns straight through and as a resume
+    /// from a checkpoint after 77; both runs must agree.
+    fn assert_resume_matches_straight_run(faults: FaultList) {
         let c = bist_netlist::iscas85::circuit("c432").unwrap();
-        let faults = FaultList::mixed_model(&c);
         use rand::{rngs::StdRng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(23);
         let patterns: Vec<Pattern> = (0..200)
@@ -504,6 +561,165 @@ mod tests {
     }
 
     #[test]
+    fn resume_from_carry_checkpoint_matches_straight_run() {
+        let c = bist_netlist::iscas85::circuit("c432").unwrap();
+        assert_resume_matches_straight_run(FaultList::mixed_model(&c));
+    }
+
+    #[test]
+    fn transition_resume_from_carry_checkpoint_matches_straight_run() {
+        // every transition fault leans on the carried launch pattern
+        let c = bist_netlist::iscas85::circuit("c432").unwrap();
+        assert_resume_matches_straight_run(FaultList::transition(&c));
+    }
+
+    fn transition(site: NodeId, pin: Option<u8>, transition: Transition) -> Fault {
+        Fault::Transition {
+            site,
+            pin,
+            transition,
+        }
+    }
+
+    #[test]
+    fn transition_c17_random_sequence_reaches_full_coverage() {
+        let c17 = bist_netlist::iscas85::c17();
+        let faults = FaultList::transition(&c17);
+        let total = faults.len();
+        let mut sim = FaultSim::new(&c17, faults);
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        let seq: Vec<Pattern> = (0..3000).map(|_| Pattern::random(&mut rng, 5)).collect();
+        sim.simulate(&seq);
+        assert_eq!(
+            sim.report().detected,
+            total,
+            "c17 transition faults are all two-pattern testable"
+        );
+    }
+
+    #[test]
+    fn single_pattern_launches_no_transition() {
+        let c17 = bist_netlist::iscas85::c17();
+        let mut sim = FaultSim::new(&c17, FaultList::transition(&c17));
+        assert_eq!(sim.simulate(&[Pattern::from_fn(5, |_| true)]), 0);
+    }
+
+    #[test]
+    fn repeated_pattern_launches_no_transition() {
+        let c17 = bist_netlist::iscas85::c17();
+        let mut sim = FaultSim::new(&c17, FaultList::transition(&c17));
+        let p = Pattern::from_fn(5, |i| i % 2 == 0);
+        assert_eq!(sim.simulate(&[p.clone(), p.clone(), p]), 0);
+    }
+
+    #[test]
+    fn transition_hand_checked_buffer_chain() {
+        // a -> buf -> y : slow-to-rise at "a" is detected exactly by the
+        // ordered pair (0, 1); slow-to-fall by (1, 0).
+        use bist_netlist::CircuitBuilder;
+        let mut b = CircuitBuilder::new("chain");
+        b.add_input("a").unwrap();
+        b.add_gate("y", GateKind::Buf, &["a"]).unwrap();
+        b.mark_output("y").unwrap();
+        let c = b.build().unwrap();
+        let a = c.find("a").unwrap();
+
+        let rise: FaultList = [transition(a, None, Transition::SlowToRise)]
+            .into_iter()
+            .collect();
+        let zero = Pattern::from_bits(&[false]);
+        let one = Pattern::from_bits(&[true]);
+        let mut sim = FaultSim::new(&c, rise.clone());
+        sim.simulate(&[zero.clone(), one.clone()]);
+        assert_eq!(sim.report().detected, 1);
+        assert_eq!(sim.first_detection(0), Some(1), "capture happens at t=1");
+
+        let mut sim = FaultSim::new(&c, rise);
+        sim.simulate(&[one.clone(), zero.clone()]);
+        assert_eq!(
+            sim.report().detected,
+            0,
+            "falling pair cannot launch a rise"
+        );
+
+        let fall: FaultList = [transition(a, None, Transition::SlowToFall)]
+            .into_iter()
+            .collect();
+        let mut sim = FaultSim::new(&c, fall);
+        sim.simulate(&[one, zero]);
+        assert_eq!(sim.report().detected, 1);
+    }
+
+    #[test]
+    fn transition_branch_fault_requires_propagation_through_its_gate_only() {
+        // stem s fans out to AND(s, en) and to output y2 = BUF(s).
+        // The branch fault s->AND slow-to-rise needs en=1 at capture;
+        // the stem fault is observable through the buffer regardless.
+        use bist_netlist::CircuitBuilder;
+        let mut b = CircuitBuilder::new("fan");
+        b.add_input("s").unwrap();
+        b.add_input("en").unwrap();
+        b.add_gate("y1", GateKind::And, &["s", "en"]).unwrap();
+        b.add_gate("y2", GateKind::Buf, &["s"]).unwrap();
+        b.mark_output("y1").unwrap();
+        b.mark_output("y2").unwrap();
+        let c = b.build().unwrap();
+        let y1 = c.find("y1").unwrap();
+        let s = c.find("s").unwrap();
+
+        let faults: FaultList = [
+            transition(y1, Some(0), Transition::SlowToRise),
+            transition(s, None, Transition::SlowToRise),
+        ]
+        .into_iter()
+        .collect();
+
+        // launch s: 0 -> 1 with en=0 at capture: branch undetected, stem
+        // detected via y2
+        let mut sim = FaultSim::new(&c, faults.clone());
+        sim.simulate(&[
+            Pattern::from_bits(&[false, false]),
+            Pattern::from_bits(&[true, false]),
+        ]);
+        assert_eq!(sim.status_of(0), FaultStatus::Undetected);
+        assert_eq!(sim.status_of(1), FaultStatus::Detected);
+
+        // same launch with en=1 at capture: both detected
+        let mut sim = FaultSim::new(&c, faults);
+        sim.simulate(&[
+            Pattern::from_bits(&[false, true]),
+            Pattern::from_bits(&[true, true]),
+        ]);
+        assert_eq!(sim.status_of(0), FaultStatus::Detected);
+        assert_eq!(sim.status_of(1), FaultStatus::Detected);
+    }
+
+    #[test]
+    fn transition_coverage_lags_stuck_at_coverage() {
+        // the paper's premise: the same random sequence detects fewer
+        // delay faults than stuck-at faults (two-pattern tests are rarer)
+        let c = bist_netlist::iscas85::circuit("c880").unwrap();
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(880);
+        let patterns: Vec<Pattern> = (0..128)
+            .map(|_| Pattern::random(&mut rng, c.inputs().len()))
+            .collect();
+
+        let mut tsim = FaultSim::new(&c, FaultList::transition(&c));
+        tsim.simulate(&patterns);
+        let mut ssim = FaultSim::new(&c, FaultList::stuck_at_collapsed(&c));
+        ssim.simulate(&patterns);
+
+        assert!(
+            tsim.report().coverage_pct() < ssim.report().coverage_pct(),
+            "transition {:.2}% vs stuck-at {:.2}%",
+            tsim.report().coverage_pct(),
+            ssim.report().coverage_pct()
+        );
+    }
+
+    #[test]
     fn reset_restores_initial_state() {
         let c17 = bist_netlist::iscas85::c17();
         let faults = FaultList::stuck_at_collapsed(&c17);
@@ -516,6 +732,25 @@ mod tests {
         // the live list is rebuilt: a re-run re-detects everything
         let newly = sim.simulate(&exhaustive_patterns(5));
         assert_eq!(newly, sim.faults().len());
+    }
+
+    #[test]
+    fn transition_reset_restores_initial_state() {
+        let c17 = bist_netlist::iscas85::c17();
+        let faults = FaultList::transition(&c17);
+        let mut sim = FaultSim::new(&c17, faults);
+        let patterns = exhaustive_patterns(5);
+        sim.simulate(&patterns);
+        assert!(sim.report().detected > 0);
+        sim.reset();
+        assert_eq!(sim.report().detected, 0);
+        assert_eq!(sim.patterns_seen(), 0);
+        // the carried launch pattern is dropped too: the first pattern of
+        // a re-run launches nothing, so the re-run grades identically
+        let mut fresh = FaultSim::new(&c17, FaultList::transition(&c17));
+        fresh.simulate(&patterns);
+        sim.simulate(&patterns);
+        assert_eq!(sim.statuses(), fresh.statuses());
     }
 
     #[test]

@@ -10,9 +10,9 @@ use bist_logicsim::{naive_eval, Pattern};
 use bist_netlist::{Circuit, GateKind, NodeId};
 
 /// Evaluates the faulty machine for `pattern`, with `prev` supplying the
-/// initialization values stuck-open faults need (good-machine
-/// initialization; `None` means "first pattern of the sequence", which
-/// cannot excite a stuck-open fault).
+/// initialization values stuck-open and transition faults need
+/// (good-machine initialization; `None` means "first pattern of the
+/// sequence", which cannot excite a two-pattern fault).
 ///
 /// Returns the faulty value of every node, or `None` when the fault is not
 /// excited under this pattern (pair) — the machine then behaves like the
@@ -68,6 +68,27 @@ pub fn faulty_eval(
             (!good_now[site.index()] && good_prev[site.index()])
                 .then_some((site, ForcedValue::Output(true)))
         }
+        Fault::Transition {
+            site,
+            pin,
+            transition,
+        } => {
+            // launch: the line's driver moves from the initial value
+            // under `prev` to the final value under `pattern`; the late
+            // line then still shows the initial value
+            let good_prev = naive_eval(circuit, &prev?.to_bits());
+            let driver = match pin {
+                None => site,
+                Some(p) => circuit.node(site).fanin()[p as usize],
+            };
+            let init = transition.initial_value();
+            let launched = good_prev[driver.index()] == init && good_now[driver.index()] != init;
+            let force = match pin {
+                None => ForcedValue::Output(init),
+                Some(p) => ForcedValue::Pin(p, init),
+            };
+            launched.then_some((site, force))
+        }
     };
     let (site, force) = forced?;
 
@@ -107,6 +128,21 @@ enum ForcedValue {
 
 /// True if `fault` is detected at a primary output by `pattern` (with
 /// `prev` as the preceding pattern of the sequence).
+///
+/// # Example
+///
+/// ```
+/// use bist_fault::{Fault, Transition};
+/// use bist_faultsim::serial;
+/// use bist_logicsim::Pattern;
+///
+/// let c17 = bist_netlist::iscas85::c17();
+/// let a = c17.inputs()[0];
+/// let fault = Fault::Transition { site: a, pin: None, transition: Transition::SlowToRise };
+/// let v1: Pattern = "00000".parse()?;
+/// assert!(!serial::detects(&c17, fault, Some(&v1), &v1), "a repeated vector launches nothing");
+/// # Ok::<(), bist_logicsim::ParsePatternError>(())
+/// ```
 pub fn detects(circuit: &Circuit, fault: Fault, prev: Option<&Pattern>, pattern: &Pattern) -> bool {
     let Some(faulty) = faulty_eval(circuit, fault, prev, pattern) else {
         return false;
@@ -152,22 +188,77 @@ mod tests {
     #[test]
     fn ppsfp_matches_serial_on_c17_exhaustive() {
         let c17 = bist_netlist::iscas85::c17();
-        let faults = FaultList::mixed_model(&c17);
         let patterns: Vec<Pattern> = (0u32..32)
             .chain((0..32).rev())
             .map(|v| Pattern::from_fn(5, |i| (v >> i) & 1 == 1))
             .collect();
-        let serial = grade_sequence(&c17, faults.faults(), &patterns);
-        let mut ppsfp = FaultSim::new(&c17, faults);
-        ppsfp.simulate(&patterns);
-        for (i, &graded) in serial.iter().enumerate() {
-            assert_eq!(
-                graded,
-                ppsfp.first_detection(i),
-                "fault {} disagrees",
-                ppsfp.faults().get(i).unwrap().describe(&c17)
-            );
+        for faults in [FaultList::mixed_model(&c17), FaultList::transition(&c17)] {
+            let serial = grade_sequence(&c17, faults.faults(), &patterns);
+            let mut ppsfp = FaultSim::new(&c17, faults);
+            ppsfp.simulate(&patterns);
+            for (i, &graded) in serial.iter().enumerate() {
+                assert_eq!(
+                    graded,
+                    ppsfp.first_detection(i),
+                    "fault {} disagrees",
+                    ppsfp.faults().get(i).unwrap().describe(&c17)
+                );
+            }
         }
+    }
+
+    #[test]
+    fn agrees_with_packed_engine_on_c17_pairs() {
+        // random transition faults on random pairs, each graded alone
+        use rand::Rng;
+        let c17 = bist_netlist::iscas85::c17();
+        let faults = FaultList::transition(&c17);
+        let mut rng = StdRng::seed_from_u64(99);
+        for _ in 0..200 {
+            let v1 = Pattern::random(&mut rng, 5);
+            let v2 = Pattern::random(&mut rng, 5);
+            let fault = faults.faults()[rng.gen_range(0..faults.len())];
+
+            let naive = detects(&c17, fault, Some(&v1), &v2);
+
+            let single: FaultList = [fault].into_iter().collect();
+            let mut sim = FaultSim::new(&c17, single);
+            sim.simulate(&[v1.clone(), v2.clone()]);
+            let packed = sim.report().detected == 1;
+            assert_eq!(naive, packed, "{} on ({v1}, {v2})", fault.describe(&c17));
+        }
+    }
+
+    #[test]
+    fn transition_launch_direction_is_respected() {
+        use bist_fault::Transition;
+        let c17 = bist_netlist::iscas85::c17();
+        let a = c17.inputs()[0];
+        let stem = |transition| Fault::Transition {
+            site: a,
+            pin: None,
+            transition,
+        };
+        let (rise, fall) = (stem(Transition::SlowToRise), stem(Transition::SlowToFall));
+        // input 0 steps 0 -> 1 while the other inputs hold: brute-force
+        // the side inputs for a propagating assignment
+        let mut rise_hit = false;
+        let mut fall_hit = false;
+        for v in 0u32..16 {
+            let lo = Pattern::from_fn(5, |i| i > 0 && (v >> (i - 1)) & 1 == 1);
+            let mut hi = lo.clone();
+            hi.set(0, true);
+            if detects(&c17, rise, Some(&lo), &hi) {
+                rise_hit = true;
+                assert!(
+                    !detects(&c17, rise, Some(&hi), &lo),
+                    "opposite order must fail"
+                );
+            }
+            fall_hit |= detects(&c17, fall, Some(&hi), &lo);
+            assert!(!detects(&c17, rise, None, &hi), "nothing launches at t=0");
+        }
+        assert!(rise_hit && fall_hit);
     }
 
     proptest! {

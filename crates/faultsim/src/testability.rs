@@ -141,7 +141,8 @@ impl Testability {
     }
 
     /// Estimated per-pattern detection probability of a stuck-at fault
-    /// (stuck-open faults return the analogous two-pattern estimate,
+    /// (stuck-open and transition faults return the analogous two-pattern
+    /// estimate,
     /// which is the product of the excitation probabilities of the two
     /// time frames).
     pub fn detection_probability(&self, circuit: &Circuit, fault: Fault) -> f64 {
@@ -229,6 +230,12 @@ impl Testability {
             }
             Fault::OpenFall { site } => {
                 let p1 = self.c1[site.index()];
+                p1 * (1.0 - p1) * self.observability[site.index()]
+            }
+            Fault::Transition { site, pin, .. } => {
+                let driver = pin.map_or(site, |p| circuit.node(site).fanin()[p as usize]);
+                let p1 = self.c1[driver.index()];
+                // branch observability approximated by the gate's
                 p1 * (1.0 - p1) * self.observability[site.index()]
             }
         }

@@ -1,8 +1,8 @@
 //! The model-generic word-parallel fault-grading engine.
 //!
-//! Every fault model in the workspace — stuck-at/stuck-open
-//! ([`crate::FaultSim`]), transition-delay (`bist-delay`), bridging
-//! (`bist-bridging`) — grades the same way: simulate 64 patterns
+//! Every fault model in the workspace — stuck-at, stuck-open and
+//! transition-delay ([`crate::FaultSim`]), bridging (`bist-faultmodel`)
+//! — grades the same way: simulate 64 patterns
 //! bit-parallel through the good machine, inject one fault, re-evaluate
 //! only its fan-out cone with the levelized bucket queue, and compare
 //! primary outputs. [`WordSim`] implements that loop once, generically

@@ -12,18 +12,22 @@
 //! length `p`, report the prefix's transition coverage and the size `d`
 //! of the two-pattern deterministic top-up that closes the gap.
 
-use bist_delay::{DelayAtpgOptions, DelayTestGenerator, TransitionFaultList, TransitionSim};
-use bist_lfsr::{paper_poly, pseudo_random_patterns};
+use bist_core::MixedSchemeConfig;
+use bist_faultmodel::{FaultModel, ModelSession};
 
 fn main() {
     let circuit = bist_netlist::iscas85::circuit("c880").expect("known benchmark");
-    let width = circuit.inputs().len();
-    let faults = TransitionFaultList::universe(&circuit);
+    // the same session `bist sweep c880 --fault-model transition` drives
+    let mut session = ModelSession::new(
+        &circuit,
+        MixedSchemeConfig::default(),
+        FaultModel::Transition,
+    );
     println!(
         "circuit {} : {} inputs, {} transition faults (stems + fan-out branches)",
         circuit.name(),
-        width,
-        faults.len()
+        circuit.inputs().len(),
+        session.universe_len()
     );
     println!();
     println!(
@@ -31,32 +35,17 @@ fn main() {
         "p", "prefix cov %", "top-up d", "final cov %", "total p+d"
     );
 
-    for p in [0usize, 64, 256, 1024] {
-        let prefix = pseudo_random_patterns(paper_poly(), width, p);
-
-        // coverage of the prefix alone
-        let mut sim = TransitionSim::new(&circuit, faults.clone());
-        sim.simulate(&prefix);
-        let prefix_cov = sim.report().coverage_pct();
-
-        // deterministic two-pattern top-up for what remains
-        let run = DelayTestGenerator::new(
-            &circuit,
-            faults.clone(),
-            DelayAtpgOptions {
-                prefix,
-                ..DelayAtpgOptions::default()
-            },
-        )
-        .run();
-
+    let summary = session
+        .sweep(&[0, 64, 256, 1024])
+        .expect("c880 solves at every prefix");
+    for s in summary.solutions() {
         println!(
             "{:>6}  {:>13.2}%  {:>12}  {:>13.2}%  {:>10}",
-            p,
-            prefix_cov,
-            run.num_patterns(),
-            run.report.coverage_pct(),
-            p + run.num_patterns()
+            s.prefix_len,
+            s.prefix_coverage.coverage_pct(),
+            s.det_len,
+            s.coverage.coverage_pct(),
+            s.total_len()
         );
     }
 

@@ -25,11 +25,10 @@
 
 pub use bist_atpg as atpg;
 pub use bist_baselines as baselines;
-pub use bist_bridging as bridging;
 pub use bist_core as core;
-pub use bist_delay as delay;
 pub use bist_engine as engine;
 pub use bist_fault as fault;
+pub use bist_faultmodel::bridging;
 pub use bist_faultsim as faultsim;
 pub use bist_hdl as hdl;
 pub use bist_lfsr as lfsr;

@@ -1,14 +1,13 @@
-//! Cross-crate integration tests for the extension systems: delay faults
-//! (`bist-delay`), baseline TPG architectures (`bist-baselines`) and HDL
-//! emission (`bist-hdl`), exercised together with the core mixed-scheme
-//! flow.
+//! Cross-crate integration tests for the extension systems: transition
+//! (delay) faults (`bist-fault` / `bist-faultmodel`), baseline TPG
+//! architectures (`bist-baselines`) and HDL emission (`bist-hdl`),
+//! exercised together with the core mixed-scheme flow.
 
 use bist_atpg::TestCube;
 use bist_baselines::{CounterPla, LfsromTpg, Reseeding, RomCounter, TestPatternGenerator};
 use bist_core::prelude::*;
-use bist_delay::{
-    serial, DelayAtpgOptions, DelayTestGenerator, TransitionFaultList, TransitionSim,
-};
+use bist_faultmodel::{FaultModel, ModelSession, ModelSim};
+use bist_faultsim::serial;
 use bist_hdl::{emit_verilog, emit_verilog_testbench, emit_vhdl, HdlOptions};
 use bist_scan::ScanDesign;
 use proptest::prelude::*;
@@ -98,7 +97,7 @@ proptest! {
 #[test]
 fn packed_transition_sim_agrees_with_serial_reference_on_c432() {
     let c = bist_netlist::iscas85::circuit("c432").expect("known benchmark");
-    let faults = TransitionFaultList::universe(&c);
+    let faults = FaultList::transition(&c);
     let width = c.inputs().len();
     let mut rng = StdRng::seed_from_u64(432);
     for _ in 0..120 {
@@ -107,9 +106,9 @@ fn packed_transition_sim_agrees_with_serial_reference_on_c432() {
         let fi = rng.gen_range(0..faults.len());
         let fault = *faults.get(fi).expect("in range");
 
-        let naive = serial::detects(&c, fault, &v1, &v2);
-        let single: TransitionFaultList = [fault].into_iter().collect();
-        let mut sim = TransitionSim::new(&c, single);
+        let naive = serial::detects(&c, fault, Some(&v1), &v2);
+        let single: FaultList = [fault].into_iter().collect();
+        let mut sim = FaultSim::new(&c, single);
         sim.simulate(&[v1.clone(), v2.clone()]);
         assert_eq!(
             naive,
@@ -123,16 +122,19 @@ fn packed_transition_sim_agrees_with_serial_reference_on_c432() {
 #[test]
 fn delay_atpg_pairs_check_out_against_the_reference() {
     let c = bist_netlist::iscas85::circuit("c880").expect("known benchmark");
-    let faults = TransitionFaultList::universe(&c);
-    let run = DelayTestGenerator::new(&c, faults, DelayAtpgOptions::default()).run();
+    let faults = FaultList::transition(&c);
+    let run = bist_atpg::TestGenerator::new(&c, faults, Default::default()).run();
     assert!(
         run.report.coverage_pct() > 85.0,
         "{:.2}",
         run.report.coverage_pct()
     );
     for unit in run.units.iter().take(60) {
+        let [v1, v2] = unit.patterns.as_slice() else {
+            panic!("transition tests come in pairs");
+        };
         assert!(
-            serial::detects(&c, unit.target, &unit.patterns[0], &unit.patterns[1]),
+            serial::detects(&c, unit.target, Some(v1), v2),
             "pair does not detect {}",
             unit.target.describe(&c)
         );
@@ -144,29 +146,19 @@ fn delay_atpg_pairs_check_out_against_the_reference() {
 
 #[test]
 fn mixed_sequence_beats_pure_random_on_transition_faults() {
-    // the paper's §3.1 argument, end to end: same total test length,
-    // mixed (random prefix + delay-targeted deterministic pairs) vs pure
-    // random, graded on transition faults
+    // the paper's §3.1 argument, end to end through the session the CLI
+    // drives: same total test length, mixed (random prefix +
+    // delay-targeted deterministic pairs) vs pure random, graded on
+    // transition faults
     let c = bist_netlist::iscas85::circuit("c432").expect("known benchmark");
-    let width = c.inputs().len();
-    let faults = TransitionFaultList::universe(&c);
-    let p = 128usize;
+    let config = MixedSchemeConfig::default();
+    let mut session = ModelSession::new(&c, config.clone(), FaultModel::Transition);
+    let mixed = session.solve_at(128).expect("c432 solves");
+    let mixed_cov = mixed.coverage.coverage_pct();
+    let total = mixed.total_len();
 
-    let prefix = pseudo_random_patterns(paper_poly(), width, p);
-    let run = DelayTestGenerator::new(
-        &c,
-        faults.clone(),
-        DelayAtpgOptions {
-            prefix: prefix.clone(),
-            ..DelayAtpgOptions::default()
-        },
-    )
-    .run();
-    let mixed_cov = run.report.coverage_pct();
-    let total = p + run.num_patterns();
-
-    let pure = pseudo_random_patterns(paper_poly(), width, total);
-    let mut sim = TransitionSim::new(&c, faults);
+    let pure = pseudo_random_patterns(config.poly, c.inputs().len(), total);
+    let mut sim = ModelSim::new(&c, FaultModel::Transition);
     sim.simulate(&pure);
     let pure_cov = sim.report().coverage_pct();
 

@@ -86,7 +86,9 @@ fn v1_requirements(circuit: &Circuit, fault: Fault) -> Vec<(NodeId, bool)> {
         }
         Fault::OpenRise { site } => vec![(site, false)],
         Fault::OpenFall { site } => vec![(site, true)],
-        Fault::StuckAt { .. } => unreachable!("stuck-open universe only"),
+        Fault::StuckAt { .. } | Fault::Transition { .. } => {
+            unreachable!("stuck-open universe only")
+        }
     }
 }
 

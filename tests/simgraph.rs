@@ -226,6 +226,7 @@ impl<'c> HeapRef<'c> {
                 let g = good[site.index()];
                 memory_seed(site, !g & prev[site.index()])
             }
+            Fault::Transition { .. } => unreachable!("the replica grades the mixed universe"),
         }
     }
 
