@@ -3,6 +3,7 @@
 #[allow(clippy::disallowed_types)]
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 use bist_logicsim::{Pattern, SeqSim};
 use bist_netlist::{Circuit, CircuitBuilder, GateKind, NodeId};
@@ -56,7 +57,9 @@ impl std::error::Error for SynthesizeLfsromError {}
 /// with its structural netlist and cost accounting.
 ///
 /// See the [crate docs](crate) for the architecture; construct with
-/// [`LfsromGenerator::synthesize`].
+/// [`LfsromGenerator::synthesize`]. The netlist is built on first use by
+/// [`LfsromGenerator::netlist`], so a caller that only wants the network
+/// (as the mixed generator does) never pays for it.
 #[derive(Debug, Clone)]
 pub struct LfsromGenerator {
     width: usize,
@@ -64,7 +67,8 @@ pub struct LfsromGenerator {
     codes: Vec<u64>,
     code_bits: usize,
     network: TwoLevelNetwork,
-    netlist: Circuit,
+    /// The structural netlist, built on first use.
+    netlist: OnceLock<Circuit>,
 }
 
 impl LfsromGenerator {
@@ -148,23 +152,23 @@ impl LfsromGenerator {
         let network = synthesize_pla_with(total, &specs, options.synthesis);
 
         // functional self-check: the synthesized network must walk the
-        // sequence
-        for i in 0..n {
-            debug_assert_eq!(
-                network.eval(&states[i]),
-                states[(i + 1) % n],
-                "next-state network broken at step {i}"
-            );
-        }
+        // sequence (one bit-sliced pass over all steps, so it stays on in
+        // release builds)
+        let broken = first_broken_step(&network, &states);
+        let (step, bit) = broken.unwrap_or_default();
+        assert!(
+            broken.is_none(),
+            "next-state network broken at step {step}: state bit {bit} should be {}",
+            states[(step + 1) % n].get(bit)
+        );
 
-        let netlist = build_netlist(total, width, &network);
         Ok(LfsromGenerator {
             width,
             sequence: sequence.to_vec(),
             codes,
             code_bits,
             network,
-            netlist,
+            netlist: OnceLock::new(),
         })
     }
 
@@ -201,16 +205,17 @@ impl LfsromGenerator {
         &self.network
     }
 
-    /// The structural hardware netlist (D flip-flops + gates). Pattern bit
-    /// `b` is the flip-flop named `q{b}`; the primary outputs are the
-    /// pattern bits.
+    /// The structural hardware netlist (D flip-flops + gates), built on the
+    /// first call. Pattern bit `b` is the flip-flop named `q{b}`; the
+    /// primary outputs are the pattern bits.
     pub fn netlist(&self) -> &Circuit {
-        &self.netlist
+        self.netlist
+            .get_or_init(|| build_netlist(self.num_flip_flops(), self.width, &self.network))
     }
 
     /// The generator's standard-cell inventory.
     pub fn cells(&self) -> CellCount {
-        count_cells(&self.netlist)
+        count_cells(self.netlist())
     }
 
     /// Silicon area in mm² under `model`.
@@ -224,7 +229,7 @@ impl LfsromGenerator {
     /// `replay(sequence.len()) == sequence` is the synthesis contract,
     /// enforced by the test suite and cheap to re-check in release code.
     pub fn replay(&self, cycles: usize) -> Vec<Pattern> {
-        let mut sim = SeqSim::new(&self.netlist);
+        let mut sim = SeqSim::new(self.netlist());
         // seed with state 0
         for b in 0..self.width {
             sim.set_state(self.ff(b), self.sequence[0].get(b));
@@ -237,7 +242,7 @@ impl LfsromGenerator {
     }
 
     fn ff(&self, b: usize) -> NodeId {
-        self.netlist
+        self.netlist()
             .find(&format!("q{b}"))
             .expect("flip-flop exists by construction")
     }
@@ -258,6 +263,16 @@ fn disambiguation_codes(sequence: &[Pattern]) -> Vec<u64> {
             code
         })
         .collect()
+}
+
+/// The first `(step, bit)` at which `network` fails to map `states[step]`
+/// to `states[step + 1]` (wrapping after the last state), if any.
+fn first_broken_step(network: &TwoLevelNetwork, states: &[Pattern]) -> Option<(usize, usize)> {
+    let n = states.len();
+    let next = network.eval_batch(states);
+    (0..n)
+        .flat_map(|step| (0..next.len()).map(move |bit| (step, bit)))
+        .find(|&(step, bit)| next[bit].get(step) != states[(step + 1) % n].get(bit))
 }
 
 fn build_netlist(total: usize, width: usize, network: &TwoLevelNetwork) -> Circuit {
@@ -379,6 +394,17 @@ mod tests {
             err,
             SynthesizeLfsromError::WidthMismatch { index: 1, .. }
         ));
+    }
+
+    #[test]
+    fn self_check_names_the_first_broken_step_and_bit() {
+        let seq = vec![p("0011"), p("0101"), p("1001"), p("1110")];
+        let generator = LfsromGenerator::synthesize(&seq).unwrap();
+        assert_eq!(first_broken_step(generator.network(), &seq), None);
+        // the network maps 0101 to 1001; claim it should map to 1101
+        let mut wrong = seq.clone();
+        wrong[2] = p("1101");
+        assert_eq!(first_broken_step(generator.network(), &wrong), Some((1, 1)));
     }
 
     #[test]

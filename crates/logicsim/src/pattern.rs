@@ -49,6 +49,19 @@ impl Pattern {
         p
     }
 
+    /// Builds a `len`-bit pattern from packed words (bit `i` is bit
+    /// `i % 64` of word `i / 64`); bits past `len` are ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` does not hold exactly `len.div_ceil(64)` words.
+    pub fn from_words(len: usize, words: Vec<u64>) -> Self {
+        assert_eq!(words.len(), len.div_ceil(64), "word count mismatch");
+        let mut p = Pattern { words, len };
+        p.mask_tail();
+        p
+    }
+
     /// Builds a pattern from a bit slice (`bits[i]` becomes bit `i`).
     pub fn from_bits(bits: &[bool]) -> Self {
         Pattern::from_fn(bits.len(), |i| bits[i])
@@ -105,6 +118,12 @@ impl Pattern {
         } else {
             self.words[i / 64] &= !(1 << (i % 64));
         }
+    }
+
+    /// The packed bits: bit `i` is bit `i % 64` of word `i / 64`, and the
+    /// bits past `len()` in the last word are zero.
+    pub fn words(&self) -> &[u64] {
+        &self.words
     }
 
     /// Number of bits set to 1.

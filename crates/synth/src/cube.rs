@@ -43,15 +43,23 @@ impl Cube {
     /// The full minterm cube of `pattern` (every variable a literal).
     pub fn from_minterm(pattern: &Pattern) -> Self {
         let width = pattern.len();
-        let mut cube = Cube::universe(width);
-        for i in 0..width {
-            if pattern.get(i) {
-                cube.pos[i / 64] |= 1 << (i % 64);
-            } else {
-                cube.neg[i / 64] |= 1 << (i % 64);
-            }
+        let pos = pattern.words().to_vec();
+        let neg = pos
+            .iter()
+            .enumerate()
+            .map(|(w, &p)| !p & word_mask(width, w))
+            .collect();
+        Cube { width, pos, neg }
+    }
+
+    /// The cube whose literal masks are `pos` and `neg`
+    /// (`width.div_ceil(64)` words each).
+    pub(crate) fn from_words(width: usize, pos: &[u64], neg: &[u64]) -> Self {
+        Cube {
+            width,
+            pos: pos.to_vec(),
+            neg: neg.to_vec(),
         }
-        cube
     }
 
     /// Number of variables of the underlying space.
@@ -103,19 +111,18 @@ impl Cube {
 
     /// Iterates over `(variable, polarity)` literals.
     pub fn literals(&self) -> impl Iterator<Item = (usize, bool)> + '_ {
-        (0..self.width).filter_map(|v| self.literal(v).map(|p| (v, p)))
+        literals(&self.pos, &self.neg)
     }
 
     /// True if `minterm` satisfies every literal of the cube.
     pub fn contains(&self, minterm: &Pattern) -> bool {
         assert_eq!(minterm.len(), self.width, "minterm width mismatch");
-        for v in 0..self.width {
-            match self.literal(v) {
-                Some(p) if minterm.get(v) != p => return false,
-                _ => {}
-            }
-        }
-        true
+        let x = minterm.words();
+        self.pos
+            .iter()
+            .zip(&self.neg)
+            .zip(x)
+            .all(|((&p, &n), &x)| p & !x == 0 && n & x == 0)
     }
 
     /// True if every minterm of `other` is contained in `self`
@@ -135,16 +142,82 @@ impl Cube {
 impl fmt::Display for Cube {
     /// PLA-style row: `1` positive, `0` negative, `-` absent.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for v in 0..self.width {
-            let c = match self.literal(v) {
-                Some(true) => '1',
-                Some(false) => '0',
-                None => '-',
-            };
-            write!(f, "{c}")?;
-        }
-        Ok(())
+        write_row(f, self.width, &self.pos, &self.neg)
     }
+}
+
+/// The valid-bit mask of word `w` of a `width`-bit vector.
+pub(crate) fn word_mask(width: usize, w: usize) -> u64 {
+    let rem = width.saturating_sub(64 * w);
+    if rem >= 64 {
+        !0
+    } else {
+        (1u64 << rem) - 1
+    }
+}
+
+/// Transposes `minterms` into one `words`-word column per variable:
+/// bit `j` of column `v` (`[v * words..][..words]`) is minterm `j`'s
+/// value of variable `v`.
+pub(crate) fn transpose<'a>(
+    width: usize,
+    minterms: impl Iterator<Item = &'a Pattern>,
+    words: usize,
+) -> Vec<u64> {
+    let mut columns = vec![0u64; width * words];
+    for (j, m) in minterms.enumerate() {
+        assert_eq!(m.len(), width, "minterm width mismatch");
+        let (w, bit) = (j / 64, 1u64 << (j % 64));
+        for (mw, &x) in m.words().iter().enumerate() {
+            let mut ones = x;
+            while ones != 0 {
+                let v = 64 * mw + ones.trailing_zeros() as usize;
+                ones &= ones - 1;
+                columns[v * words + w] |= bit;
+            }
+        }
+    }
+    columns
+}
+
+/// The `(variable, polarity)` literals of the cube with literal masks
+/// `pos`/`neg`, in ascending variable order.
+pub(crate) fn literals<'a>(
+    pos: &'a [u64],
+    neg: &'a [u64],
+) -> impl Iterator<Item = (usize, bool)> + 'a {
+    pos.iter().zip(neg).enumerate().flat_map(|(w, (&p, &n))| {
+        let mut bits = p | n;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let b = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            Some((64 * w + b, (p >> b) & 1 == 1))
+        })
+    })
+}
+
+/// Writes the PLA row of the cube with literal masks `pos`/`neg`.
+pub(crate) fn write_row(
+    f: &mut fmt::Formatter<'_>,
+    width: usize,
+    pos: &[u64],
+    neg: &[u64],
+) -> fmt::Result {
+    for v in 0..width {
+        let (w, b) = (v / 64, v % 64);
+        let c = if (pos[w] >> b) & 1 == 1 {
+            '1'
+        } else if (neg[w] >> b) & 1 == 1 {
+            '0'
+        } else {
+            '-'
+        };
+        write!(f, "{c}")?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

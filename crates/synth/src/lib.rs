@@ -10,11 +10,12 @@
 //!   input spaces,
 //! * [`synthesize_pla`] — espresso-style two-level minimization (EXPAND
 //!   against the off-set with single-pass greedy literal removal, greedy
-//!   irredundant cover, cross-output term sharing). The LFSROM's enormous
+//!   irredundant cover, cross-output term sharing), word-parallel over a
+//!   bit-sliced table of the care minterms. The LFSROM's enormous
 //!   don't-care set — only the `d` sequence states are care terms out of
 //!   `2^w` — is what this stage exploits,
-//! * [`TwoLevelNetwork`] — the result: shared AND terms, OR planes per
-//!   output, evaluation, netlist emission,
+//! * [`TwoLevelNetwork`] — the result: a flat AND plane of shared
+//!   terms, OR planes per output, evaluation, netlist emission,
 //! * [`AreaModel`] / [`CellCount`] — gate-level technology mapping onto a
 //!   2-input cell library with an ES2-1µm-style area table, calibrated to
 //!   the paper's two published anchors (LFSR-16 = 0.25 mm², C3540 nominal

@@ -1,12 +1,15 @@
-// determinism-vetted: both hash maps below deduplicate/index cubes via
-// entry()/insert() in minterm order and are never iterated
+// determinism-vetted: the hash containers below index term rows via
+// get()/insert() in minterm and term order and are never iterated
 #[allow(clippy::disallowed_types)]
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use bist_logicsim::Pattern;
 
-use crate::cube::Cube;
+use crate::cube::{self, Cube};
 use crate::network::{OutputFunc, TwoLevelNetwork};
+
+#[cfg(test)]
+mod scalar;
 
 /// Care-set specification of one output: minterms that must evaluate to 1
 /// (`on`) and to 0 (`off`); *everything else is a don't-care*.
@@ -38,82 +41,161 @@ impl Default for SynthesisOptions {
     }
 }
 
-/// Transposed view of a minterm set: one multi-word bit column per
-/// variable, bit `j` of column `v` being minterm `j`'s value of variable
-/// `v`. Expansion tests become word-parallel AND chains over columns.
-struct Columns {
-    cols: Vec<Vec<u64>>,
-    valid: Vec<u64>,
+/// Bit-sliced literal table of one output's care minterms.
+///
+/// Bit `j` of every mask stands for care minterm `j`: the on-set first
+/// (`j < on.len()`), then the off-set. A cube's containment set — the
+/// care minterms it covers — is the AND of its literals' masks, so every
+/// containment question the minimizer asks costs a few word operations
+/// per literal.
+struct LiteralTable {
+    /// Words per mask.
     words: usize,
+    /// First word holding an off-set bit.
+    off_lo: usize,
+    /// The mask of literal `(v, polarity)` is
+    /// `masks[(2 * v + polarity) * words..][..words]`: the care minterms
+    /// whose variable `v` equals `polarity`.
+    masks: Vec<u64>,
+    /// The on-set minterms.
+    on: Vec<u64>,
+    /// The off-set minterms.
+    off: Vec<u64>,
 }
 
-impl Columns {
-    fn new(width: usize, minterms: &[Pattern]) -> Self {
-        let words = minterms.len().div_ceil(64).max(1);
-        let mut cols = vec![vec![0u64; words]; width];
-        for (j, m) in minterms.iter().enumerate() {
-            for (v, col) in cols.iter_mut().enumerate() {
-                if m.get(v) {
-                    col[j / 64] |= 1 << (j % 64);
-                }
+impl LiteralTable {
+    fn new(width: usize, spec: &OutputSpec) -> Self {
+        let n_on = spec.on.len();
+        let words = (n_on + spec.off.len()).div_ceil(64);
+        let ones = cube::transpose(width, spec.on.iter().chain(&spec.off), words);
+        let (mut on, mut off) = (vec![0u64; words], vec![0u64; words]);
+        for (w, (on, off)) in on.iter_mut().zip(&mut off).enumerate() {
+            let care = cube::word_mask(n_on + spec.off.len(), w);
+            *on = cube::word_mask(n_on, w);
+            *off = care & !*on;
+        }
+        // every care minterm not positive in `v` is negative in `v`
+        let mut masks = Vec::with_capacity(2 * width * words);
+        for column in ones.chunks_exact(words.max(1)).take(width) {
+            masks.extend(
+                column
+                    .iter()
+                    .zip(&on)
+                    .zip(&off)
+                    .map(|((&c, &a), &b)| (a | b) & !c),
+            );
+            masks.extend_from_slice(column);
+        }
+        LiteralTable {
+            words,
+            off_lo: n_on / 64,
+            masks,
+            on,
+            off,
+        }
+    }
+
+    fn mask(&self, var: usize, polarity: bool) -> &[u64] {
+        &self.masks[(2 * var + usize::from(polarity)) * self.words..][..self.words]
+    }
+
+    /// Writes into `set` the care minterms the cube `row` (positive mask,
+    /// then negative mask) contains.
+    fn containment(&self, row: &[u64], set: &mut [u64]) {
+        for ((s, &on), &off) in set.iter_mut().zip(&self.on).zip(&self.off) {
+            *s = on | off;
+        }
+        let (pos, neg) = row.split_at(row.len() / 2);
+        for (v, polarity) in cube::literals(pos, neg) {
+            for (s, &m) in set.iter_mut().zip(self.mask(v, polarity)) {
+                *s &= m;
             }
         }
-        let mut valid = vec![0u64; words];
-        for j in 0..minterms.len() {
-            valid[j / 64] |= 1 << (j % 64);
-        }
-        Columns { cols, valid, words }
-    }
-
-    /// The mask of minterms *agreeing* with literal `(var, polarity)`.
-    fn agree(&self, var: usize, polarity: bool, out: &mut [u64]) {
-        for (w, slot) in out.iter_mut().enumerate().take(self.words) {
-            let c = self.cols[var][w];
-            *slot = if polarity { c } else { !c } & self.valid[w];
-        }
     }
 }
 
-/// Expands the minterm `m` against the off-set (single greedy pass):
-/// literals are dropped, in rotated order, whenever the grown cube still
-/// avoids every off minterm.
-fn expand_minterm(width: usize, m: &Pattern, off: &Columns, rotation: usize) -> Cube {
-    let words = off.words;
-    // agree masks per variable for this minterm's literals
-    let mut agree = vec![vec![0u64; words]; width];
-    for (v, mask) in agree.iter_mut().enumerate() {
-        off.agree(v, m.get(v), mask);
+/// The candidate cubes of one output, in admission order: flat rows
+/// (positive mask, then negative mask) and each row's containment set.
+struct Candidates {
+    row_words: usize,
+    rows: Vec<u64>,
+    sets: Vec<u64>,
+    /// Every row in `rows`.
+    #[allow(clippy::disallowed_types)]
+    seen: HashSet<Vec<u64>>,
+}
+
+impl Candidates {
+    fn row(&self, i: usize) -> &[u64] {
+        &self.rows[self.row_words * i..][..self.row_words]
     }
-    let order: Vec<usize> = (0..width).map(|i| (i + rotation) % width).collect();
-    // suffix[k] = AND of agree[order[k..]]
-    let mut suffix = vec![vec![!0u64; words]; width + 1];
-    for k in (0..width).rev() {
-        for w in 0..words {
-            suffix[k][w] = suffix[k + 1][w] & agree[order[k]][w];
+
+    /// Appends `row` with containment set `set`.
+    fn push(&mut self, row: &[u64], set: &[u64]) {
+        self.rows.extend_from_slice(row);
+        self.sets.extend_from_slice(set);
+    }
+}
+
+/// Expands the on-set minterm `m` against the off-set (single greedy
+/// pass): literals are dropped, in rotated order, whenever the grown cube
+/// still avoids every off minterm. Writes the cube into `row`; `scratch`
+/// holds the suffix and prefix masks, reused across minterms.
+fn expand_minterm(
+    table: &LiteralTable,
+    m: &Pattern,
+    rotation: usize,
+    scratch: &mut (Vec<u64>, Vec<u64>),
+    row: &mut [u64],
+) {
+    let width = m.len();
+    let (lo, ow) = (table.off_lo, table.words - table.off_lo);
+    let x = m.words();
+    let polarity = |v: usize| (x[v / 64] >> (v % 64)) & 1 == 1;
+    let agree = |v: usize| &table.mask(v, polarity(v))[lo..];
+    let (suffix, prefix) = scratch;
+    // suffix[k] = off-set AND agree(order[k..]), `ow` words each
+    suffix.clear();
+    suffix.resize((width + 1) * ow, 0);
+    suffix[width * ow..].copy_from_slice(&table.off[lo..]);
+    // literals in rotated order: order[k] = (k + rotation) % width
+    let order = || (rotation..width).chain(0..rotation);
+    for (k, v) in (0..width).rev().zip(order().rev()) {
+        let (head, tail) = suffix.split_at_mut((k + 1) * ow);
+        for ((s, &next), &a) in head[k * ow..].iter_mut().zip(&tail[..ow]).zip(agree(v)) {
+            *s = next & a;
         }
     }
-    let mut prefix = vec![!0u64; words];
-    let mut cube = Cube::from_minterm(m);
-    for (k, &v) in order.iter().enumerate() {
+    prefix.clear();
+    prefix.resize(ow, !0);
+    let (pos, neg) = row.split_at_mut(row.len() / 2);
+    for (w, (p, n)) in pos.iter_mut().zip(neg.iter_mut()).enumerate() {
+        *p = x[w];
+        *n = !x[w] & cube::word_mask(width, w);
+    }
+    for (k, v) in order().enumerate() {
         // can we drop literal v? the cube would cover an off minterm only
         // if all *other* kept literals still agree with it somewhere
-        let mut covers_off = false;
-        for w in 0..words {
-            if prefix[w] & suffix[k + 1][w] & off.valid[w] != 0 {
-                covers_off = true;
-                break;
-            }
-        }
-        if covers_off {
+        let rest = &suffix[(k + 1) * ow..][..ow];
+        if prefix.iter().zip(rest).any(|(&p, &s)| p & s != 0) {
             // must keep literal v
-            for w in 0..words {
-                prefix[w] &= agree[v][w];
+            for (p, &a) in prefix.iter_mut().zip(agree(v)) {
+                *p &= a;
             }
         } else {
-            cube.remove_literal(v);
+            let (w, b) = (v / 64, 1u64 << (v % 64));
+            pos[w] &= !b;
+            neg[w] &= !b;
         }
     }
-    cube
+    // the cube covers an off minterm only when `m` is one itself
+    assert!(
+        prefix
+            .iter()
+            .zip(&table.off[lo..])
+            .all(|(&p, &o)| p & o == 0),
+        "minterm {m} appears in both on- and off-set"
+    );
 }
 
 /// Minimizes a single output: expanded cubes + greedy irredundant cover.
@@ -124,64 +206,68 @@ fn expand_minterm(width: usize, m: &Pattern, off: &Columns, rotation: usize) -> 
 /// Panics if the on- and off-sets intersect (an inconsistent
 /// specification) or if any minterm width differs from `width`.
 pub fn minimize_single_output(width: usize, spec: &OutputSpec) -> Vec<Cube> {
-    let candidates = expand_all(width, spec);
-    greedy_cover(&spec.on, candidates)
+    let table = LiteralTable::new(width, spec);
+    let candidates = expand_all(width, spec, &table);
+    let cw = width.div_ceil(64);
+    greedy_cover(&table, &candidates.sets)
+        .into_iter()
+        .map(|i| {
+            let (pos, neg) = candidates.row(i).split_at(cw);
+            Cube::from_words(width, pos, neg)
+        })
+        .collect()
 }
 
-fn expand_all(width: usize, spec: &OutputSpec) -> Vec<Cube> {
-    for m in spec.on.iter().chain(&spec.off) {
-        assert_eq!(m.len(), width, "minterm width mismatch");
-    }
-    let off = Columns::new(width, &spec.off);
-    #[allow(clippy::disallowed_types)]
-    let mut seen = HashMap::new();
-    let mut candidates = Vec::new();
+/// The distinct expansions of the on-set minterms, in minterm order.
+fn expand_all(width: usize, spec: &OutputSpec, table: &LiteralTable) -> Candidates {
+    let row_words = 2 * width.div_ceil(64);
+    let mut candidates = Candidates {
+        row_words,
+        rows: Vec::new(),
+        sets: Vec::new(),
+        #[allow(clippy::disallowed_types)]
+        seen: HashSet::new(),
+    };
+    let mut row = vec![0u64; row_words];
+    let mut set = vec![0u64; table.words];
+    let mut scratch = (Vec::new(), Vec::new());
     for (j, m) in spec.on.iter().enumerate() {
-        debug_assert!(
-            !spec.off.contains(m),
-            "minterm {m} appears in both on- and off-set"
-        );
-        let cube = expand_minterm(width, m, &off, j % width.max(1));
-        if seen.insert(cube.clone(), true).is_none() {
-            candidates.push(cube);
+        expand_minterm(table, m, j % width.max(1), &mut scratch, &mut row);
+        if !candidates.seen.contains(&row) {
+            candidates.seen.insert(row.clone());
+            table.containment(&row, &mut set);
+            candidates.push(&row, &set);
         }
     }
     candidates
 }
 
-/// Greedy set cover of the on-set by candidate cubes.
-fn greedy_cover(on: &[Pattern], candidates: Vec<Cube>) -> Vec<Cube> {
-    let mut covered = vec![false; on.len()];
-    let mut cover_sets: Vec<Vec<usize>> = candidates
-        .iter()
-        .map(|c| {
-            on.iter()
-                .enumerate()
-                .filter(|(_, m)| c.contains(m))
-                .map(|(j, _)| j)
-                .collect()
-        })
-        .collect();
+/// Greedy set cover of the on-set by the candidates' containment sets
+/// (`table.words` words each). Returns the picked candidates in pick
+/// order; ties go to the last candidate of maximal gain, as
+/// [`Iterator::max_by_key`] picks.
+fn greedy_cover(table: &LiteralTable, sets: &[u64]) -> Vec<usize> {
+    let words = table.words;
+    let mut uncovered = table.on.clone();
     let mut selected = Vec::new();
-    let mut remaining = on.len();
-    while remaining > 0 {
-        let (best, _) = cover_sets
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, s)| s.iter().filter(|&&j| !covered[j]).count())
-            .expect("on-set non-empty implies candidates exist");
-        let gain: Vec<usize> = cover_sets[best]
-            .iter()
-            .copied()
-            .filter(|&j| !covered[j])
-            .collect();
-        assert!(!gain.is_empty(), "cover stalled: inconsistent candidates");
-        for j in gain {
-            covered[j] = true;
-            remaining -= 1;
+    while uncovered.iter().any(|&u| u != 0) {
+        let mut best: Option<(usize, u32)> = None;
+        for (i, set) in sets.chunks_exact(words).enumerate() {
+            let gain = set
+                .iter()
+                .zip(&uncovered)
+                .map(|(&s, &u)| (s & u).count_ones())
+                .sum();
+            if best.is_none_or(|(_, g)| gain >= g) {
+                best = Some((i, gain));
+            }
         }
-        selected.push(candidates[best].clone());
-        cover_sets[best].clear();
+        let (best, gain) = best.expect("on-set non-empty implies candidates exist");
+        assert!(gain > 0, "cover stalled: inconsistent candidates");
+        for (u, &s) in uncovered.iter_mut().zip(&sets[best * words..][..words]) {
+            *u &= !s;
+        }
+        selected.push(best);
     }
     selected
 }
@@ -210,9 +296,11 @@ pub fn synthesize_pla_with(
     specs: &[OutputSpec],
     options: SynthesisOptions,
 ) -> TwoLevelNetwork {
-    let mut terms: Vec<Cube> = Vec::new();
+    let row_words = 2 * width.div_ceil(64);
+    let mut plane: Vec<u64> = Vec::new();
+    let mut num_terms = 0;
     #[allow(clippy::disallowed_types)]
-    let mut term_index: HashMap<Cube, usize> = HashMap::new();
+    let mut term_index: HashMap<Vec<u64>, usize> = HashMap::new();
     let mut outputs = Vec::with_capacity(specs.len());
 
     for spec in specs {
@@ -224,30 +312,39 @@ pub fn synthesize_pla_with(
             outputs.push(OutputFunc::Const(true));
             continue;
         }
-        let mut candidates = expand_all(width, spec);
+        let table = LiteralTable::new(width, spec);
+        let mut candidates = expand_all(width, spec, &table);
         if options.share_terms {
             // offer previously selected terms that avoid this off-set and
-            // cover something from this on-set
-            for t in &terms {
-                if spec.off.iter().all(|m| !t.contains(m))
-                    && spec.on.iter().any(|m| t.contains(m))
-                    && !candidates.contains(t)
+            // cover something from this on-set (the pool holds each term
+            // once, so only the expansions can already hold it)
+            let mut set = vec![0u64; table.words];
+            for t in 0..num_terms {
+                let row = &plane[row_words * t..][..row_words];
+                table.containment(row, &mut set);
+                if set.iter().zip(&table.off).all(|(&s, &o)| s & o == 0)
+                    && set.iter().zip(&table.on).any(|(&s, &o)| s & o != 0)
+                    && !candidates.seen.contains(row)
                 {
-                    candidates.push(t.clone());
+                    candidates.push(row, &set);
                 }
             }
         }
-        let selected = greedy_cover(&spec.on, candidates);
+        let selected = greedy_cover(&table, &candidates.sets);
         let mut indices = Vec::with_capacity(selected.len());
-        for cube in selected {
-            let idx = if options.share_terms {
-                *term_index.entry(cube.clone()).or_insert_with(|| {
-                    terms.push(cube.clone());
-                    terms.len() - 1
-                })
-            } else {
-                terms.push(cube.clone());
-                terms.len() - 1
+        for i in selected {
+            let row = candidates.row(i);
+            let idx = match term_index.get(row) {
+                Some(&t) => t,
+                None => {
+                    plane.extend_from_slice(row);
+                    // without sharing, every output pays for its own terms
+                    if options.share_terms {
+                        term_index.insert(row.to_vec(), num_terms);
+                    }
+                    num_terms += 1;
+                    num_terms - 1
+                }
             };
             indices.push(idx);
         }
@@ -255,7 +352,7 @@ pub fn synthesize_pla_with(
         indices.dedup();
         outputs.push(OutputFunc::Terms(indices));
     }
-    TwoLevelNetwork::new(width, terms, outputs)
+    TwoLevelNetwork::from_plane(width, num_terms, plane, outputs)
 }
 
 #[cfg(test)]
@@ -307,6 +404,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "appears in both on- and off-set")]
+    fn inconsistent_specs_panic() {
+        let spec = OutputSpec {
+            on: vec![p("101")],
+            off: vec![p("000"), p("101")],
+        };
+        minimize_single_output(3, &spec);
+    }
+
+    #[test]
     fn constant_outputs() {
         let net = synthesize_pla(
             3,
@@ -339,6 +446,99 @@ mod tests {
             SynthesisOptions { share_terms: false },
         );
         assert_eq!(unshared.num_terms(), 2);
+    }
+
+    /// Random multi-output specs over `width` variables: `count` distinct
+    /// care minterms, each output a random cube-like rule over a few
+    /// shared variables (so later outputs can reuse earlier terms), with
+    /// some care minterms dropped and some outputs constant.
+    fn random_specs(rng: &mut impl rand::Rng, width: usize, count: usize) -> Vec<OutputSpec> {
+        let mut minterms: Vec<Pattern> = Vec::new();
+        while minterms.len() < count {
+            let m = Pattern::random(rng, width);
+            if !minterms.contains(&m) {
+                minterms.push(m);
+            }
+        }
+        let hot: Vec<usize> = (0..4).map(|_| rng.gen_range(0..width)).collect();
+        (0..rng.gen_range(1..7usize))
+            .map(|o| {
+                let mut spec = OutputSpec::default();
+                let constant = match o % 5 {
+                    3 => Some(rng.gen_bool(0.5)),
+                    _ => None,
+                };
+                let (a, b) = (hot[rng.gen_range(0..4usize)], hot[rng.gen_range(0..4usize)]);
+                for m in &minterms {
+                    if rng.gen_bool(0.1) {
+                        continue; // don't-care for this output
+                    }
+                    let value = constant.unwrap_or_else(|| {
+                        (m.get(a) && !m.get(b)) || (m.get(hot[0]) && rng.gen_bool(0.3))
+                    });
+                    if value {
+                        spec.on.push(m.clone());
+                    } else {
+                        spec.off.push(m.clone());
+                    }
+                }
+                spec
+            })
+            .collect()
+    }
+
+    #[test]
+    fn bit_sliced_kernel_matches_the_scalar_oracle() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(14);
+        let (mut shared, mut constants) = (0, 0);
+        for trial in 0..48 {
+            // widths cross the 64-variable word boundary, minterm counts
+            // the 64- and 128-minterm ones
+            let width = [1, 2, 7, 63, 64, 65, 100, 128, 129, 130][trial % 10];
+            let space = if width < 8 {
+                1usize << width
+            } else {
+                usize::MAX
+            };
+            let count = rng.gen_range(1..=200usize).min(space);
+            let specs = random_specs(&mut rng, width, count);
+            for share_terms in [true, false] {
+                let options = SynthesisOptions { share_terms };
+                let net = synthesize_pla_with(width, &specs, options);
+                let (terms, outputs) = scalar::synthesize_pla_with(width, &specs, options);
+                assert_eq!(
+                    net.terms().collect::<Vec<_>>(),
+                    terms,
+                    "trial {trial}, width {width}, share {share_terms}: AND plane differs"
+                );
+                assert_eq!(
+                    net.outputs(),
+                    &outputs[..],
+                    "trial {trial}, width {width}, share {share_terms}: OR plane differs"
+                );
+                for spec in &specs {
+                    let single = minimize_single_output(width, spec);
+                    let oracle = scalar::greedy_cover(&spec.on, scalar::expand_all(width, spec));
+                    assert_eq!(single, oracle, "trial {trial}: single-output cover differs");
+                }
+                constants += outputs
+                    .iter()
+                    .filter(|o| matches!(o, OutputFunc::Const(_)))
+                    .count();
+                // a term used by two outputs was admitted by sharing
+                let uses = |t: usize| {
+                    outputs
+                        .iter()
+                        .filter(|o| matches!(o, OutputFunc::Terms(ts) if ts.contains(&t)))
+                        .count()
+                };
+                shared += (0..terms.len()).filter(|&t| uses(t) > 1).count();
+            }
+        }
+        assert!(shared > 0, "no trial admitted a shared term");
+        assert!(constants > 0, "no trial produced a constant output");
     }
 
     #[test]

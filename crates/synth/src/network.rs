@@ -3,7 +3,7 @@ use std::fmt;
 use bist_logicsim::Pattern;
 use bist_netlist::{BuildCircuitError, CircuitBuilder, GateKind};
 
-use crate::cube::Cube;
+use crate::cube::{self, Cube};
 
 /// The function of one network output.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,16 +23,31 @@ pub enum OutputFunc {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TwoLevelNetwork {
     width: usize,
-    terms: Vec<Cube>,
+    /// Words per literal mask: `width.div_ceil(64)`.
+    words: usize,
+    num_terms: usize,
+    /// The AND plane, one row of `2 * words` words per term: its
+    /// positive-literal mask, then its negative-literal mask.
+    plane: Vec<u64>,
     outputs: Vec<OutputFunc>,
 }
 
 impl TwoLevelNetwork {
-    /// Assembles a network from parts (used by the synthesizer).
-    pub fn new(width: usize, terms: Vec<Cube>, outputs: Vec<OutputFunc>) -> Self {
+    /// Assembles a network from its flat AND plane of `num_terms` rows
+    /// (laid out as in [`TwoLevelNetwork`]'s `plane`) and its OR plane.
+    pub(crate) fn from_plane(
+        width: usize,
+        num_terms: usize,
+        plane: Vec<u64>,
+        outputs: Vec<OutputFunc>,
+    ) -> Self {
+        let words = width.div_ceil(64);
+        debug_assert_eq!(plane.len(), 2 * words * num_terms, "plane size");
         TwoLevelNetwork {
             width,
-            terms,
+            words,
+            num_terms,
+            plane,
             outputs,
         }
     }
@@ -49,12 +64,21 @@ impl TwoLevelNetwork {
 
     /// Number of distinct product terms in the AND plane.
     pub fn num_terms(&self) -> usize {
-        self.terms.len()
+        self.num_terms
     }
 
-    /// The product terms.
-    pub fn terms(&self) -> &[Cube] {
-        &self.terms
+    /// The product terms, in AND-plane order.
+    pub fn terms(&self) -> impl ExactSizeIterator<Item = Cube> + '_ {
+        (0..self.num_terms).map(|t| {
+            let (pos, neg) = self.term(t);
+            Cube::from_words(self.width, pos, neg)
+        })
+    }
+
+    /// The positive- and negative-literal masks of term `t`.
+    fn term(&self, t: usize) -> (&[u64], &[u64]) {
+        let row = &self.plane[2 * self.words * t..][..2 * self.words];
+        row.split_at(self.words)
     }
 
     /// The output functions.
@@ -64,7 +88,7 @@ impl TwoLevelNetwork {
 
     /// Total number of AND-plane literals.
     pub fn num_literals(&self) -> usize {
-        self.terms.iter().map(Cube::num_literals).sum()
+        self.plane.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Total number of OR-plane connections.
@@ -86,11 +110,53 @@ impl TwoLevelNetwork {
     /// Panics if the input width mismatches.
     pub fn eval(&self, input: &Pattern) -> Pattern {
         assert_eq!(input.len(), self.width, "input width mismatch");
-        let term_values: Vec<bool> = self.terms.iter().map(|t| t.contains(input)).collect();
-        Pattern::from_fn(self.outputs.len(), |o| match &self.outputs[o] {
-            OutputFunc::Const(b) => *b,
-            OutputFunc::Terms(ts) => ts.iter().any(|&t| term_values[t]),
-        })
+        let columns = self.eval_batch(std::slice::from_ref(input));
+        Pattern::from_fn(columns.len(), |o| columns[o].get(0))
+    }
+
+    /// Evaluates the network on every pattern of `inputs` at once
+    /// (bit-sliced: one AND of literal columns per term). Returns one
+    /// pattern per output whose bit `j` is the output's value on
+    /// `inputs[j]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an input width mismatches.
+    pub fn eval_batch(&self, inputs: &[Pattern]) -> Vec<Pattern> {
+        let n = inputs.len();
+        let words = n.div_ceil(64);
+        let ones = cube::transpose(self.width, inputs.iter(), words);
+        let all: Vec<u64> = (0..words).map(|w| cube::word_mask(n, w)).collect();
+        let mut term_sets = vec![0u64; self.num_terms * words];
+        for (t, set) in term_sets.chunks_exact_mut(words.max(1)).enumerate() {
+            set.copy_from_slice(&all);
+            let (pos, neg) = self.term(t);
+            for (v, polarity) in cube::literals(pos, neg) {
+                let column = &ones[v * words..][..words];
+                for (s, &c) in set.iter_mut().zip(column) {
+                    *s &= if polarity { c } else { !c };
+                }
+            }
+        }
+        self.outputs
+            .iter()
+            .map(|func| {
+                let values = match func {
+                    OutputFunc::Const(false) => vec![0; words],
+                    OutputFunc::Const(true) => all.clone(),
+                    OutputFunc::Terms(ts) => {
+                        let mut acc = vec![0u64; words];
+                        for &t in ts {
+                            for (a, &s) in acc.iter_mut().zip(&term_sets[t * words..][..words]) {
+                                *a |= s;
+                            }
+                        }
+                        acc
+                    }
+                };
+                Pattern::from_words(n, values)
+            })
+            .collect()
     }
 
     /// Emits the network as structural gates.
@@ -114,8 +180,9 @@ impl TwoLevelNetwork {
         assert_eq!(inputs.len(), self.width, "input name count mismatch");
         // shared inverters for variables used negatively
         let mut inv_name: Vec<Option<String>> = vec![None; self.width];
-        for term in &self.terms {
-            for (v, pol) in term.literals() {
+        for t in 0..self.num_terms {
+            let (pos, neg) = self.term(t);
+            for (v, pol) in cube::literals(pos, neg) {
                 if !pol && inv_name[v].is_none() {
                     let name = format!("{prefix}_inv{v}");
                     builder.add_gate(&name, GateKind::Not, &[inputs[v]])?;
@@ -124,10 +191,10 @@ impl TwoLevelNetwork {
             }
         }
         // product terms
-        let mut term_names: Vec<String> = Vec::with_capacity(self.terms.len());
-        for (ti, term) in self.terms.iter().enumerate() {
-            let lits: Vec<String> = term
-                .literals()
+        let mut term_names: Vec<String> = Vec::with_capacity(self.num_terms);
+        for ti in 0..self.num_terms {
+            let (pos, neg) = self.term(ti);
+            let lits: Vec<String> = cube::literals(pos, neg)
                 .map(|(v, pol)| {
                     if pol {
                         inputs[v].to_owned()
@@ -184,9 +251,11 @@ impl fmt::Display for TwoLevelNetwork {
             ".i {} .o {} .p {}",
             self.width,
             self.outputs.len(),
-            self.terms.len()
+            self.num_terms
         )?;
-        for (ti, term) in self.terms.iter().enumerate() {
+        for ti in 0..self.num_terms {
+            let (pos, neg) = self.term(ti);
+            cube::write_row(f, self.width, pos, neg)?;
             let uses: String = self
                 .outputs
                 .iter()
@@ -195,7 +264,7 @@ impl fmt::Display for TwoLevelNetwork {
                     _ => '0',
                 })
                 .collect();
-            writeln!(f, "{term} {uses}")?;
+            writeln!(f, " {uses}")?;
         }
         Ok(())
     }
@@ -246,6 +315,43 @@ mod tests {
             for (o, name) in outs.iter().enumerate() {
                 let id = circuit.find(name).unwrap();
                 assert_eq!(hw[id.index()], sw.get(o), "input {input} output {o}");
+            }
+        }
+    }
+
+    #[test]
+    fn eval_batch_matches_eval() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(5);
+        for width in [1, 3, 64, 65, 130] {
+            let minterms: Vec<Pattern> =
+                (0..150).map(|_| Pattern::random(&mut rng, width)).collect();
+            let specs: Vec<OutputSpec> = (0..4)
+                .map(|o| {
+                    let mut spec = OutputSpec::default();
+                    for m in minterms.iter().take(40) {
+                        if m.get(o % width) == m.get((o + 1) % width) {
+                            spec.on.push(m.clone());
+                        } else if !spec.on.contains(m) {
+                            spec.off.push(m.clone());
+                        }
+                    }
+                    spec
+                })
+                .collect();
+            let net = synthesize_pla(width, &specs);
+            let batch = net.eval_batch(&minterms);
+            assert_eq!(batch.len(), net.num_outputs());
+            for (j, m) in minterms.iter().enumerate() {
+                let single = net.eval(m);
+                for (o, column) in batch.iter().enumerate() {
+                    assert_eq!(
+                        column.get(j),
+                        single.get(o),
+                        "width {width} input {j} output {o}"
+                    );
+                }
             }
         }
     }
