@@ -15,7 +15,7 @@ use bist_par::Pool;
 
 use crate::cache::{job_digest, ResultCache};
 use crate::error::BistError;
-use crate::handle::{JobHandle, JobSlot, SlotGuard};
+use crate::handle::{BatchRunner, JobHandle, JobSlot, SlotGuard};
 use crate::progress::{CancelToken, JobId, ProgressEvent, ProgressFeed};
 use crate::result::{
     AreaReportOutcome, BakeoffOutcome, CurveOutcome, EstimateOutcome, HdlOutcome, JobResult,
@@ -190,7 +190,7 @@ impl Engine {
         } else {
             1
         };
-        let mut handles = Vec::with_capacity(specs.len());
+        let mut jobs = Vec::with_capacity(specs.len());
         let mut work: Vec<(JobId, JobSpec, ProgressFeed, SlotGuard)> =
             Vec::with_capacity(specs.len());
         for mut spec in specs {
@@ -201,31 +201,38 @@ impl Engine {
             let label = format!("{} {}", spec.kind(), spec.circuit().label());
             let feed = ProgressFeed::new();
             let slot = Arc::new(JobSlot::default());
-            handles.push(JobHandle {
-                id,
-                label: label.clone(),
-                feed: feed.clone(),
-                cancel: cancel.clone(),
-                slot: slot.clone(),
-            });
+            // the handle's clone subscribes to the feed, which records
+            // nothing until it has a subscriber: clone before `Queued`
+            jobs.push((id, label.clone(), feed.clone(), slot.clone()));
             feed.push(ProgressEvent::Queued { job: id, label });
             work.push((id, spec, feed, SlotGuard(slot)));
         }
         let engine = self.clone();
-        let cancel = cancel.clone();
-        std::thread::Builder::new()
+        let batch_cancel = cancel.clone();
+        let thread = std::thread::Builder::new()
             .name("bist-engine".to_owned())
             .spawn(move || {
                 let pool = Pool::resolve(engine.inner.threads);
                 pool.par_map(&work, |(id, spec, feed, guard)| {
-                    match engine.execute(*id, spec, &cancel, feed) {
+                    match engine.execute(*id, spec, &batch_cancel, feed) {
                         Ok((result, cached)) => guard.0.fill(Ok(result), cached),
                         Err(e) => guard.0.fill(Err(e), false),
                     }
                 });
             })
             .expect("spawn engine scheduler thread");
-        handles
+        let slots = jobs.iter().map(|(.., slot)| slot.clone()).collect();
+        let runner = Arc::new(BatchRunner::new(slots, thread));
+        jobs.into_iter()
+            .map(|(id, label, feed, slot)| JobHandle {
+                id,
+                label,
+                feed,
+                cancel: cancel.clone(),
+                slot,
+                runner: runner.clone(),
+            })
+            .collect()
     }
 
     /// Runs one job to completion — [`Engine::submit`] followed by

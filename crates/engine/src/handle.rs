@@ -9,6 +9,7 @@
 //! [`JobId`](crate::JobId).
 
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 
 use crate::error::BistError;
 use crate::progress::{CancelToken, JobId, ProgressFeed};
@@ -84,6 +85,51 @@ impl Drop for SlotGuard {
     }
 }
 
+/// The thread running one submitted batch, shared by the batch's
+/// handles.
+///
+/// Publishing a job's outcome wakes its waiter while the runner still
+/// has its own tail to run (dropping the batch, thread exit). A caller
+/// that submits its next job in that window would start it beside a
+/// thread that is still exiting, so which allocator arena, and how much
+/// resident memory, the next job gets would depend on a race. Once
+/// every job of the batch has published, [`JobHandle::wait`] joins the
+/// runner instead, so no engine thread outlives the results it
+/// delivered.
+#[derive(Debug)]
+pub(crate) struct BatchRunner {
+    slots: Vec<Arc<JobSlot>>,
+    thread: Mutex<Option<JoinHandle<()>>>,
+}
+
+impl BatchRunner {
+    pub(crate) fn new(slots: Vec<Arc<JobSlot>>, thread: JoinHandle<()>) -> Self {
+        BatchRunner {
+            slots,
+            thread: Mutex::new(Some(thread)),
+        }
+    }
+
+    /// Joins the runner thread once every job of the batch has
+    /// published its outcome; while one is still running the thread
+    /// has work left and is left alone.
+    fn reap(&self) {
+        if !self.slots.iter().all(|slot| slot.is_finished()) {
+            return;
+        }
+        let thread = self
+            .thread
+            .lock()
+            .expect("runner lock never poisoned")
+            .take();
+        if let Some(thread) = thread {
+            // a runner that panicked has already published
+            // `Canceled` through its slot guards
+            let _ = thread.join();
+        }
+    }
+}
+
 /// An asynchronously running (or completed) job, returned by
 /// [`Engine::submit`](crate::Engine::submit).
 ///
@@ -110,6 +156,7 @@ pub struct JobHandle {
     pub(crate) feed: ProgressFeed,
     pub(crate) cancel: CancelToken,
     pub(crate) slot: Arc<JobSlot>,
+    pub(crate) runner: Arc<BatchRunner>,
 }
 
 impl JobHandle {
@@ -156,14 +203,18 @@ impl JobHandle {
         self.slot.cached()
     }
 
-    /// Blocks until the job completes and returns its result.
+    /// Blocks until the job completes and returns its result. When it
+    /// is the last job of its batch to complete, the batch's runner
+    /// thread has exited by the time this returns.
     ///
     /// # Errors
     ///
     /// Any [`BistError`] the job produced: spec validation, circuit
     /// realization, the flow itself, or [`BistError::Canceled`].
     pub fn wait(self) -> Result<JobResult, BistError> {
-        self.slot.wait()
+        let result = self.slot.wait();
+        self.runner.reap();
+        result
     }
 }
 
@@ -203,6 +254,25 @@ mod tests {
         drop(SlotGuard(slot.clone()));
         assert!(slot.is_finished());
         assert!(matches!(slot.wait(), Err(BistError::Canceled)));
+    }
+
+    #[test]
+    fn runner_is_joined_only_once_every_slot_is_filled() {
+        let (first, second) = (Arc::new(JobSlot::default()), Arc::new(JobSlot::default()));
+        let thread = std::thread::spawn(|| {});
+        let runner = BatchRunner::new(vec![first.clone(), second.clone()], thread);
+        first.fill(Err(BistError::Canceled), false);
+        runner.reap();
+        assert!(
+            runner.thread.lock().unwrap().is_some(),
+            "joined with a job left"
+        );
+        second.fill(Err(BistError::Canceled), false);
+        runner.reap();
+        assert!(
+            runner.thread.lock().unwrap().is_none(),
+            "not joined when done"
+        );
     }
 
     #[test]
